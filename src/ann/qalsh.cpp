@@ -146,7 +146,7 @@ void QalshIndex::insert(VecId id, const FeatureVec& v) {
   for (std::size_t i = 0; i < scheme_.m; ++i) {
     lines_[i].pending.push_back({scratch_.proj_q[i], slot});
   }
-  // Amortized merge: a per-insert inplace_merge would be O(n) each;
+  // Amortized merge: a per-insert merge would be O(n) each;
   // batching max(64, n/64) inserts amortizes the merge while bounding the
   // unsorted tail queries must linearly scan — capped at 4096 so tail
   // scans stay bounded even in very large indexes.
@@ -162,13 +162,18 @@ void QalshIndex::flush() {
 }
 
 void QalshIndex::merge_pending() {
+  // std::merge into a second array, not std::inplace_merge: with GCC 12's
+  // libstdc++ the latter's temporary buffer trips ASan's alloc-dealloc
+  // mismatch check (operator new vs free), failing the asan-ubsan suite.
+  // EntryLess is a total order (slots are unique per line), so both merges
+  // produce the same array.
+  std::vector<Entry> merged;
   for (HashLine& line : lines_) {
-    const auto mid = static_cast<std::ptrdiff_t>(line.sorted.size());
     std::sort(line.pending.begin(), line.pending.end(), EntryLess{});
-    line.sorted.insert(line.sorted.end(), line.pending.begin(),
-                       line.pending.end());
-    std::inplace_merge(line.sorted.begin(), line.sorted.begin() + mid,
-                       line.sorted.end(), EntryLess{});
+    merged.resize(line.sorted.size() + line.pending.size());
+    std::merge(line.sorted.begin(), line.sorted.end(), line.pending.begin(),
+               line.pending.end(), merged.begin(), EntryLess{});
+    line.sorted.swap(merged);  // the old array is reused for the next line
     line.pending.clear();
   }
   ++merges_;

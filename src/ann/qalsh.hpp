@@ -26,7 +26,7 @@
 //    family uses, with the identical SQ8 re-rank discipline when quantized;
 //  - each hash keeps a sorted (projection, slot) array plus a small
 //    unsorted pending tail: inserts append to the tail and are batch-merged
-//    (sort + inplace_merge) once the tail outgrows an amortization bound,
+//    (sort + merge) once the tail outgrows an amortization bound,
 //    so single inserts never pay an O(n) re-sort;
 //  - removals tombstone the slot (generation-free: an alive bitmap) and
 //    defer compaction until a quarter of the index is dead; dead slots are

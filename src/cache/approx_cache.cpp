@@ -57,7 +57,9 @@ CacheResult ApproxCache::lookup(const CacheQuery& q) {
     throw std::invalid_argument(
         "ApproxCache::lookup: single-frame path (use lookup_batch)");
   }
-  assert(q.features.size() == dim_);
+  if (q.features.size() != dim_) {
+    throw std::invalid_argument("ApproxCache::lookup: bad feature size");
+  }
   std::unique_lock lock(mu_);
   CacheResult result;
   const std::size_t k = q.k_override != 0 ? q.k_override : config_.hknn.k;
@@ -204,7 +206,9 @@ VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
                           SimTime now, EntryOrigin origin,
                           std::uint8_t hop_count,
                           std::uint32_t source_device) {
-  assert(feature.size() == dim_);
+  if (feature.size() != dim_) {
+    throw std::invalid_argument("ApproxCache::insert: bad feature size");
+  }
   std::unique_lock lock(mu_);
   while (entries_.size() >= config_.capacity) {
     evict_one(now);

@@ -147,7 +147,8 @@ class ApproxCache {
   /// miss counters updated, and the A-LSH width controller fed — the
   /// exclusive path. Steady-state calls perform zero heap allocations
   /// (neighbour scratch and index scratch are reused). Throws
-  /// std::invalid_argument when q.count != 1.
+  /// std::invalid_argument when q.count != 1 or q.features is not dim()
+  /// long.
   CacheResult lookup(const CacheQuery& q);
 
   /// Answers the `q.count` frames packed in `q.features` into
@@ -173,6 +174,8 @@ class ApproxCache {
   void fold_scratch(CacheQueryScratch& scratch);
 
   /// Inserts a new entry, evicting first when full. Returns the new id.
+  /// Throws std::invalid_argument, before any change, when `feature` is
+  /// not dim() long (P2P merges feed this with peer-decoded vectors).
   VecId insert(FeatureVec feature, Label label, float confidence, SimTime now,
                EntryOrigin origin = EntryOrigin::kLocal,
                std::uint8_t hop_count = 0, std::uint32_t source_device = 0);

@@ -127,7 +127,7 @@ void RegionsRung::complete(ReusePipeline& host) {
   int depth = 0;
   cnn_->prepare_input(ctx.frame.image, state_);
   if (full_) {
-    cnn_->forward(state_, /*from_stage=*/0, ctx.features, nullptr);
+    cnn_->forward(state_, /*from_stage=*/0, ctx.features);
     std::fill(changed_.begin(), changed_.end(), std::uint8_t{1});
     changed_count_ = total;
   } else {

@@ -1,5 +1,6 @@
 #include "src/dnn/activation_cache.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace apx {
@@ -56,11 +57,16 @@ void ActivationCache::block_to_pixel_mask(
       pixels.size() != static_cast<std::size_t>(side) * side) {
     throw std::invalid_argument("ActivationCache: bad pixel mask");
   }
+  // Each block covers bs mask rows of bs equal bytes.
   const int bs = side / g;
-  for (int y = 0; y < side; ++y) {
-    for (int x = 0; x < side; ++x) {
-      pixels[static_cast<std::size_t>(y) * side + x] =
-          blocks[static_cast<std::size_t>(y / bs) * g + (x / bs)];
+  for (int by = 0; by < g; ++by) {
+    for (int bx = 0; bx < g; ++bx) {
+      const std::uint8_t v = blocks[static_cast<std::size_t>(by) * g + bx];
+      for (int y = by * bs; y < (by + 1) * bs; ++y) {
+        std::uint8_t* row =
+            pixels.data() + static_cast<std::size_t>(y) * side + bx * bs;
+        std::fill(row, row + bs, v);
+      }
     }
   }
 }

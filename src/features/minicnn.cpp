@@ -4,18 +4,29 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/features/conv3x3.hpp"
 #include "src/features/extractor.hpp"
 #include "src/util/rng.hpp"
 
 namespace apx {
 namespace {
 
-void init_conv(Rng& rng, int in_ch, int out_ch, MiniCnn* /*unused*/,
-               std::vector<float>& weights, std::vector<float>& bias) {
+// Draws He-initialized weights in [oc][ic][ky][kx] order (the draw order
+// fixes every embedding) and stores them tap-major, [ky][kx][ic][oc], the
+// layout the conv kernel reads.
+void init_conv(Rng& rng, int in_ch, int out_ch, std::vector<float>& weights,
+               std::vector<float>& bias) {
   // He-style initialization keeps activations in a sane range through depth.
   const double stddev = std::sqrt(2.0 / (9.0 * in_ch));
   weights.resize(static_cast<std::size_t>(out_ch) * in_ch * 9);
-  for (float& w : weights) w = static_cast<float>(rng.normal(0.0, stddev));
+  for (int oc = 0; oc < out_ch; ++oc) {
+    for (int ic = 0; ic < in_ch; ++ic) {
+      for (int tap = 0; tap < 9; ++tap) {
+        weights[(static_cast<std::size_t>(tap) * in_ch + ic) * out_ch + oc] =
+            static_cast<float>(rng.normal(0.0, stddev));
+      }
+    }
+  }
   bias.assign(static_cast<std::size_t>(out_ch), 0.0f);
 }
 
@@ -52,13 +63,13 @@ MiniCnn::MiniCnn(std::size_t dim, std::uint64_t seed) : dim_(dim) {
   Rng rng{seed};
   conv1_.in_channels = 3;
   conv1_.out_channels = 8;
-  init_conv(rng, 3, 8, this, conv1_.weights, conv1_.bias);
+  init_conv(rng, 3, 8, conv1_.weights, conv1_.bias);
   conv2_.in_channels = 8;
   conv2_.out_channels = 16;
-  init_conv(rng, 8, 16, this, conv2_.weights, conv2_.bias);
+  init_conv(rng, 8, 16, conv2_.weights, conv2_.bias);
   conv3_.in_channels = 16;
   conv3_.out_channels = 32;
-  init_conv(rng, 16, 32, this, conv3_.weights, conv3_.bias);
+  init_conv(rng, 16, 32, conv3_.weights, conv3_.bias);
 
   const double fc_stddev = std::sqrt(2.0 / 32.0);
   fc_weights_.resize(dim * 32);
@@ -74,46 +85,15 @@ std::size_t MiniCnn::parameter_count() const noexcept {
          fc_weights_.size() + fc_bias_.size();
 }
 
+Conv3x3Weights MiniCnn::ConvLayer::operands() const noexcept {
+  return {weights.data(), bias.data(), in_channels, out_channels};
+}
+
 void MiniCnn::conv3x3_relu_into(const Tensor& in, int width, int height,
-                                const ConvLayer& layer, ThreadPool* pool,
-                                Tensor& out) {
-  const int in_ch = layer.in_channels;
-  const int out_ch = layer.out_channels;
-  out.resize(static_cast<std::size_t>(width) * height * out_ch);
-  auto rows = [&](std::size_t y_begin, std::size_t y_end) {
-    for (int y = static_cast<int>(y_begin); y < static_cast<int>(y_end); ++y) {
-    for (int x = 0; x < width; ++x) {
-      for (int oc = 0; oc < out_ch; ++oc) {
-        float acc = layer.bias[static_cast<std::size_t>(oc)];
-        for (int ky = -1; ky <= 1; ++ky) {
-          const int sy = std::clamp(y + ky, 0, height - 1);
-          for (int kx = -1; kx <= 1; ++kx) {
-            const int sx = std::clamp(x + kx, 0, width - 1);
-            const std::size_t in_base =
-                (static_cast<std::size_t>(sy) * width + sx) * in_ch;
-            const std::size_t w_base =
-                ((static_cast<std::size_t>(oc) * in_ch) * 9) +
-                static_cast<std::size_t>((ky + 1) * 3 + (kx + 1));
-            for (int ic = 0; ic < in_ch; ++ic) {
-              acc += in[in_base + static_cast<std::size_t>(ic)] *
-                     layer.weights[w_base + static_cast<std::size_t>(ic) * 9];
-            }
-          }
-        }
-        out[(static_cast<std::size_t>(y) * width + x) * out_ch +
-            static_cast<std::size_t>(oc)] = std::max(acc, 0.0f);
-      }
-    }
-    }
-  };
-  if (pool != nullptr && pool->size() > 0 && height >= 8) {
-    // Each task owns a disjoint band of output rows (halo reads overlap,
-    // writes never do), so the result matches the serial loop bit for bit.
-    pool->parallel_for(0, static_cast<std::size_t>(height), /*grain=*/4,
-                       rows);
-  } else {
-    rows(0, static_cast<std::size_t>(height));
-  }
+                                const ConvLayer& layer, Tensor& out) {
+  out.resize(static_cast<std::size_t>(width) * height * layer.out_channels);
+  conv3x3_relu(layer.operands(), in.data(), width, height, 0, 0, width,
+               height, out.data());
 }
 
 void MiniCnn::maxpool2_into(const Tensor& in, int width, int height,
@@ -141,35 +121,6 @@ void MiniCnn::maxpool2_into(const Tensor& in, int width, int height,
   }
 }
 
-void MiniCnn::conv_pixel(const Tensor& in, int width, int height,
-                         const ConvLayer& layer, int x, int y,
-                         std::span<float> out) {
-  const int in_ch = layer.in_channels;
-  const int out_ch = layer.out_channels;
-  // Same accumulation sequence per scalar as conv3x3_relu_into: the builds
-  // carry no FMA contraction or arch-specific flags, so replaying the order
-  // reproduces the full pass bit for bit.
-  for (int oc = 0; oc < out_ch; ++oc) {
-    float acc = layer.bias[static_cast<std::size_t>(oc)];
-    for (int ky = -1; ky <= 1; ++ky) {
-      const int sy = std::clamp(y + ky, 0, height - 1);
-      for (int kx = -1; kx <= 1; ++kx) {
-        const int sx = std::clamp(x + kx, 0, width - 1);
-        const std::size_t in_base =
-            (static_cast<std::size_t>(sy) * width + sx) * in_ch;
-        const std::size_t w_base =
-            ((static_cast<std::size_t>(oc) * in_ch) * 9) +
-            static_cast<std::size_t>((ky + 1) * 3 + (kx + 1));
-        for (int ic = 0; ic < in_ch; ++ic) {
-          acc += in[in_base + static_cast<std::size_t>(ic)] *
-                 layer.weights[w_base + static_cast<std::size_t>(ic) * 9];
-        }
-      }
-    }
-    out[static_cast<std::size_t>(oc)] = std::max(acc, 0.0f);
-  }
-}
-
 void MiniCnn::recompute_pooled(const Tensor& in, int in_width, int in_height,
                                const ConvLayer& layer,
                                std::span<const std::uint8_t> mask,
@@ -177,24 +128,19 @@ void MiniCnn::recompute_pooled(const Tensor& in, int in_width, int in_height,
   const int ow = in_width / 2;
   const int oh = in_height / 2;
   const int ch = layer.out_channels;
-  std::array<std::array<float, 32>, 4> window;  // 2x2 conv pixels, all oc
+  const Conv3x3Weights operands = layer.operands();
+  std::array<float, 4 * 32> window;  // 2x2 conv pixels x all oc, row-major
   for (int py = 0; py < oh; ++py) {
     for (int px = 0; px < ow; ++px) {
       if (mask[static_cast<std::size_t>(py) * ow + px] == 0) continue;
-      for (int dy = 0; dy < 2; ++dy) {
-        for (int dx = 0; dx < 2; ++dx) {
-          conv_pixel(in, in_width, in_height, layer, px * 2 + dx, py * 2 + dy,
-                     {window[static_cast<std::size_t>(dy * 2 + dx)].data(),
-                      static_cast<std::size_t>(ch)});
-        }
-      }
+      // The same kernel as the full pass, over this pool window's 2x2 conv
+      // pixels: every recomputed scalar matches the full pass bit for bit.
+      conv3x3_relu(operands, in.data(), in_width, in_height, px * 2, py * 2,
+                   px * 2 + 2, py * 2 + 2, window.data());
       for (int c = 0; c < ch; ++c) {
         float m = -1e30f;
-        for (int dy = 0; dy < 2; ++dy) {
-          for (int dx = 0; dx < 2; ++dx) {
-            m = std::max(m, window[static_cast<std::size_t>(dy * 2 + dx)]
-                                  [static_cast<std::size_t>(c)]);
-          }
+        for (int i = 0; i < 4; ++i) {
+          m = std::max(m, window[static_cast<std::size_t>(i * ch + c)]);
         }
         stage[(static_cast<std::size_t>(py) * ow + px) * ch +
               static_cast<std::size_t>(c)] = m;
@@ -205,24 +151,30 @@ void MiniCnn::recompute_pooled(const Tensor& in, int in_width, int in_height,
 
 void MiniCnn::propagate_dirty(std::span<const std::uint8_t> in, int width,
                               int height, std::span<std::uint8_t> out) {
+  if (width > kInputSide) {
+    throw std::invalid_argument("MiniCnn::propagate_dirty: mask too wide");
+  }
   const int ow = width / 2;
   const int oh = height / 2;
+  // The footprint is separable: OR each output row's (clipped) input rows
+  // column-wise, then OR each output pixel's (clipped) columns of that.
+  std::array<std::uint8_t, kInputSide> cols;
   for (int py = 0; py < oh; ++py) {
+    const int y0 = std::max(py * 2 - 1, 0);
+    const int y1 = std::min(py * 2 + 2, height - 1);
+    std::fill_n(cols.begin(), width, std::uint8_t{0});
+    for (int y = y0; y <= y1; ++y) {
+      const std::uint8_t* row = in.data() + static_cast<std::size_t>(y) * width;
+      for (int x = 0; x < width; ++x) {
+        cols[static_cast<std::size_t>(x)] |= row[x];
+      }
+    }
     for (int px = 0; px < ow; ++px) {
       const int x0 = std::max(px * 2 - 1, 0);
       const int x1 = std::min(px * 2 + 2, width - 1);
-      const int y0 = std::max(py * 2 - 1, 0);
-      const int y1 = std::min(py * 2 + 2, height - 1);
-      std::uint8_t dirty = 0;
-      for (int y = y0; y <= y1 && dirty == 0; ++y) {
-        for (int x = x0; x <= x1; ++x) {
-          if (in[static_cast<std::size_t>(y) * width + x] != 0) {
-            dirty = 1;
-            break;
-          }
-        }
-      }
-      out[static_cast<std::size_t>(py) * ow + px] = dirty;
+      std::uint8_t any = 0;
+      for (int x = x0; x <= x1; ++x) any |= cols[static_cast<std::size_t>(x)];
+      out[static_cast<std::size_t>(py) * ow + px] = any != 0 ? 1 : 0;
     }
   }
 }
@@ -247,8 +199,8 @@ void MiniCnn::prepare_input(const Image& img, ForwardState& state) const {
   }
 }
 
-void MiniCnn::forward(ForwardState& state, int from_stage, FeatureVec& out,
-                      ThreadPool* pool) const {
+void MiniCnn::forward(ForwardState& state, int from_stage,
+                      FeatureVec& out) const {
   const ForwardPlan& p = plan();
   if (from_stage < 0 || from_stage > 2) {
     throw std::invalid_argument("MiniCnn::forward: from_stage out of [0, 2]");
@@ -258,25 +210,25 @@ void MiniCnn::forward(ForwardState& state, int from_stage, FeatureVec& out,
   if (from_stage == 2) check_size(state.stage2, p.stage2, "stage2");
   if (from_stage < 1) {
     conv3x3_relu_into(state.input, p.input.width, p.input.height, conv1_,
-                      pool, state.conv1);
+                      state.conv1);
     maxpool2_into(state.conv1, p.input.width, p.input.height,
                   conv1_.out_channels, state.stage1);
   }
   if (from_stage < 2) {
     conv3x3_relu_into(state.stage1, p.stage1.width, p.stage1.height, conv2_,
-                      pool, state.conv2);
+                      state.conv2);
     maxpool2_into(state.conv2, p.stage1.width, p.stage1.height,
                   conv2_.out_channels, state.stage2);
   }
   conv3x3_relu_into(state.stage2, p.stage2.width, p.stage2.height, conv3_,
-                    pool, state.stage3);
+                    state.stage3);
   head(state, out);
 }
 
 void MiniCnn::embed_into(const Image& img, ForwardState& state,
-                         FeatureVec& out, ThreadPool* pool) const {
+                         FeatureVec& out) const {
   prepare_input(img, state);
-  forward(state, /*from_stage=*/0, out, pool);
+  forward(state, /*from_stage=*/0, out);
 }
 
 MiniCnn::SpliceStats MiniCnn::forward_spliced(
@@ -315,7 +267,7 @@ MiniCnn::SpliceStats MiniCnn::forward_spliced(
                      stage2_mask, state.stage2);
   }
   conv3x3_relu_into(state.stage2, p.stage2.width, p.stage2.height, conv3_,
-                    nullptr, state.stage3);
+                    state.stage3);
   head(state, out);
   return stats;
 }
@@ -345,10 +297,10 @@ void MiniCnn::head(ForwardState& state, FeatureVec& out) const {
   normalize(out);
 }
 
-FeatureVec MiniCnn::embed(const Image& img, ThreadPool* pool) const {
+FeatureVec MiniCnn::embed(const Image& img) const {
   ForwardState state;
   FeatureVec out;
-  embed_into(img, state, out, pool);
+  embed_into(img, state, out);
   return out;
 }
 

@@ -19,13 +19,15 @@
 // with spliced activations — the seam the region-reuse rung uses to skip
 // conv work for unchanged image blocks. embed()/embed_batch() are thin
 // wrappers over the same staged path, so the monolithic and staged results
-// are the same code, not merely equal.
+// are the same code, not merely equal. Every conv — the full pass and the
+// spliced recomputation alike — runs the one kernel in conv3x3.hpp.
 
 #include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "src/features/conv3x3.hpp"
 #include "src/image/image.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/vecmath.hpp"
@@ -96,9 +98,7 @@ class MiniCnn {
   explicit MiniCnn(std::size_t dim = 64, std::uint64_t seed = 7);
 
   /// Embeds `img` (any size; resized internally) into a unit-norm vector.
-  /// With a pool, conv layers partition their output rows across workers;
-  /// rows are disjoint, so the result is bit-identical to the serial path.
-  FeatureVec embed(const Image& img, ThreadPool* pool = nullptr) const;
+  FeatureVec embed(const Image& img) const;
 
   /// Embeds a batch of images through the same staged path. Tasks own
   /// contiguous slices and reuse one ForwardState across their images, so
@@ -117,20 +117,18 @@ class MiniCnn {
   /// leaving every later activation tensor and the embedding in place.
   /// Throws std::invalid_argument when the resumed-from tensor has the
   /// wrong size or from_stage is out of [0, 2].
-  void forward(ForwardState& state, int from_stage, FeatureVec& out,
-               ThreadPool* pool = nullptr) const;
+  void forward(ForwardState& state, int from_stage, FeatureVec& out) const;
 
   /// prepare_input + forward(0): the staged equivalent of embed(), writing
   /// into caller-owned scratch (zero steady-state allocations when warm).
-  void embed_into(const Image& img, ForwardState& state, FeatureVec& out,
-                  ThreadPool* pool = nullptr) const;
+  void embed_into(const Image& img, ForwardState& state, FeatureVec& out) const;
 
   /// Splices cached stage-1/stage-2 activations and recomputes only the
   /// pooled pixels flagged dirty: `stage1_mask` (16x16) and `stage2_mask`
   /// (8x8) come from propagate_dirty over the changed input pixels. With an
   /// empty stage-1 mask the pass resumes at conv3 from the cached stage-2
   /// tensor. state.input must hold the current frame (prepare_input). The
-  /// recomputation replays the full conv's per-pixel accumulation order, so
+  /// recomputation runs the full pass's conv kernel on the dirty pixels, so
   /// the result is bit-identical to forward(state, 0, ...) whenever every
   /// pixel that actually differs from the cached frame is flagged.
   /// On return state.stage1/stage2/stage3 hold the complete (spliced +
@@ -146,6 +144,7 @@ class MiniCnn {
   /// [2px-1, 2px+2] x [2py-1, 2py+2] (the 2x2 pool window dilated by the
   /// conv's 1-pixel halo, clipped to the image — clamp padding reads no
   /// farther) is dirty. `in` is width x height, `out` (width/2) x (height/2).
+  /// Throws std::invalid_argument when width exceeds kInputSide.
   static void propagate_dirty(std::span<const std::uint8_t> in, int width,
                               int height, std::span<std::uint8_t> out);
 
@@ -158,20 +157,15 @@ class MiniCnn {
   struct ConvLayer {
     int in_channels = 0;
     int out_channels = 0;
-    std::vector<float> weights;  // [out][in][3][3]
+    std::vector<float> weights;  // tap-major: [3][3][in][out]
     std::vector<float> bias;     // [out]
+    Conv3x3Weights operands() const noexcept;
   };
 
   static void conv3x3_relu_into(const Tensor& in, int width, int height,
-                                const ConvLayer& layer, ThreadPool* pool,
-                                Tensor& out);
+                                const ConvLayer& layer, Tensor& out);
   static void maxpool2_into(const Tensor& in, int width, int height,
                             int channels, Tensor& out);
-  /// All output channels of one conv output pixel, replaying the full
-  /// conv's accumulation order exactly (bit-identity of recomputed pixels).
-  static void conv_pixel(const Tensor& in, int width, int height,
-                         const ConvLayer& layer, int x, int y,
-                         std::span<float> out);
   /// Recomputes the flagged pooled pixels of a conv+pool stage in place.
   static void recompute_pooled(const Tensor& in, int in_width, int in_height,
                                const ConvLayer& layer,

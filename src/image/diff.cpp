@@ -6,7 +6,11 @@
 namespace apx {
 
 Image downsample_gray(const Image& frame, int side) {
-  return frame.to_gray().resized(side, side);
+  Image gray = frame.to_gray();
+  // A same-size bilinear resize weighs every pixel by exactly 1 and its
+  // neighbours by 0, so skipping it changes no finite pixel's value.
+  if (gray.width() == side && gray.height() == side) return gray;
+  return gray.resized(side, side);
 }
 
 void block_mean_abs_diff(const Image& a, const Image& b, int grid,

@@ -14,6 +14,8 @@ namespace apx {
 
 /// Grayscale `side` x `side` thumbnail of `frame` (luma then bilinear
 /// resize) — the canonical comparison representation for frame diffing.
+/// A frame already `side` x `side` skips the resize, which would not change
+/// any finite pixel's value.
 Image downsample_gray(const Image& frame, int side);
 
 /// Mean absolute per-sample difference of each `grid` x `grid` block of two

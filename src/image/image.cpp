@@ -22,7 +22,7 @@ void Image::clamp() {
 }
 
 Image Image::to_gray() const {
-  assert(!empty());
+  if (empty()) throw std::invalid_argument("Image::to_gray: empty image");
   if (channels_ == 1) return *this;
   Image out(width_, height_, 1);
   for (int y = 0; y < height_; ++y) {
@@ -35,7 +35,7 @@ Image Image::to_gray() const {
 }
 
 Image Image::resized(int new_width, int new_height) const {
-  assert(!empty());
+  if (empty()) throw std::invalid_argument("Image::resized: empty image");
   if (new_width <= 0 || new_height <= 0) {
     throw std::invalid_argument("Image::resized: bad dimensions");
   }

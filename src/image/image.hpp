@@ -40,9 +40,11 @@ class Image {
   void clamp();
 
   /// Single-channel copy (luma for RGB: 0.299 R + 0.587 G + 0.114 B).
+  /// Throws std::invalid_argument on an empty image.
   Image to_gray() const;
 
-  /// Bilinear resize to the given dimensions (same channel count).
+  /// Bilinear resize to the given dimensions (same channel count). Throws
+  /// std::invalid_argument on an empty image or non-positive dimensions.
   Image resized(int new_width, int new_height) const;
 
   /// Mean absolute per-sample difference against an image of identical

@@ -3,12 +3,19 @@
 #include <cassert>
 #include <cmath>
 
-// The SQ8 kernels runtime-dispatch to an AVX2+FMA variant on x86-64: the
-// u8 -> f32 widening the asymmetric-distance pass lives on does not
-// auto-vectorize profitably at the baseline ISA, unlike the pure-float
-// kernels below. Only the new quantized-scan kernels dispatch — the float
-// kernels keep one portable code path so simulation goldens cannot shift
-// with the host CPU.
+// Runtime ISA dispatch rule: a float kernel may pick an ISA-specific body
+// at run time only when every body performs the same IEEE operations in
+// the same order in each output lane, so its bits — and the simulation
+// goldens — cannot shift with the host CPU. MiniCnn's conv kernel
+// (src/features/conv3x3.cpp) dispatches under this rule: its AVX2 body
+// multiplies then adds, never fused. The pure-float kernels below need no
+// dispatch; GCC vectorizes their 8-accumulator loops at the baseline ISA.
+// The SQ8 kernels are the one exception: the u8 -> f32 widening the
+// asymmetric-distance pass lives on does not auto-vectorize profitably at
+// the baseline ISA, so they dispatch to AVX2+FMA / AVX-512 variants whose
+// fused sums may round differently per host. They serve only the opt-in
+// quantized scan (`local(q8)`), which re-ranks its survivors with exact
+// float distances.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define APX_SQ8_X86_DISPATCH 1
 #include <immintrin.h>

@@ -51,6 +51,28 @@ TEST(ApproxCache, BadConfigThrows) {
                std::invalid_argument);
 }
 
+// Feature-size checks throw instead of asserting, so they hold in release
+// builds too (P2P merges feed insert() with peer-decoded vectors).
+TEST(ApproxCache, LookupRejectsWrongFeatureSize) {
+  auto cache = make_cache();
+  cache.insert(unit_at(0.0f), 5, 0.9f, 0);
+  const FeatureVec short_key(kDim - 1, 0.5f);
+  EXPECT_THROW(cache.lookup({.features = short_key, .now = 1}),
+               std::invalid_argument);
+  EXPECT_EQ(cache.counters().get("miss"), 0u);
+}
+
+TEST(ApproxCache, InsertRejectsWrongFeatureSizeBeforeAnyChange) {
+  auto cache = make_cache();
+  EXPECT_THROW(cache.insert(FeatureVec(kDim + 1, 0.5f), 5, 0.9f, 0),
+               std::invalid_argument);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.counters().get("insert"), 0u);
+  // The cache still works after the rejected insert.
+  cache.insert(unit_at(0.0f), 5, 0.9f, 0);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(ApproxCache, EmptyLookupMisses) {
   auto cache = make_cache();
   const auto result = cache.lookup({.features = unit_at(0.0f), .now = 0});

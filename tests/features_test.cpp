@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +15,6 @@
 #include "src/features/extractor.hpp"
 #include "src/features/minicnn.hpp"
 #include "src/image/scene.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/vecmath.hpp"
 
 namespace apx {
@@ -316,15 +317,6 @@ TEST_F(MiniCnnStaged, EmbedIntoMatchesEmbedAcrossInputShapes) {
   }
 }
 
-TEST_F(MiniCnnStaged, EmbedIntoMatchesEmbedWithPool) {
-  ThreadPool pool{3};
-  const Image img = scenes_.render(2, ViewParams{});
-  MiniCnn::ForwardState state;
-  FeatureVec out;
-  cnn_.embed_into(img, state, out, &pool);
-  EXPECT_EQ(out, cnn_.embed(img)) << "pool-backed staged path diverged";
-}
-
 TEST_F(MiniCnnStaged, ForwardResumesBitIdenticallyFromEveryStage) {
   const Image img = scenes_.render(4, ViewParams{});
   MiniCnn::ForwardState state;
@@ -340,6 +332,11 @@ TEST_F(MiniCnnStaged, ForwardResumesBitIdenticallyFromEveryStage) {
     cnn_.forward(resumed, from_stage, out);
     EXPECT_EQ(out, reference) << "from_stage=" << from_stage;
   }
+}
+
+TEST_F(MiniCnnStaged, PrepareInputRejectsEmptyImage) {
+  MiniCnn::ForwardState state;
+  EXPECT_THROW(cnn_.prepare_input(Image{}, state), std::invalid_argument);
 }
 
 TEST_F(MiniCnnStaged, ForwardRejectsBadResume) {
@@ -488,6 +485,44 @@ TEST(MiniCnnDirty, PropagateDirtyCornerPixelStaysLocal) {
   for (const std::uint8_t v : out) set += (v != 0);
   EXPECT_EQ(set, 1);
   EXPECT_NE(out[0], 0);
+}
+
+TEST(MiniCnnDirty, RandomMasksMatchTheFootprintDefinition) {
+  Rng rng{77};
+  for (const int side : {32, 16, 8, 4}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::uint8_t> in(static_cast<std::size_t>(side) * side);
+      const double density = 0.02 * trial;
+      for (std::uint8_t& v : in) v = rng.uniform() < density ? 1 : 0;
+      const int os = side / 2;
+      std::vector<std::uint8_t> out(static_cast<std::size_t>(os) * os, 9);
+      MiniCnn::propagate_dirty(in, side, side, out);
+      for (int py = 0; py < os; ++py) {
+        for (int px = 0; px < os; ++px) {
+          bool want = false;
+          for (int y = std::max(2 * py - 1, 0);
+               y <= std::min(2 * py + 2, side - 1); ++y) {
+            for (int x = std::max(2 * px - 1, 0);
+                 x <= std::min(2 * px + 2, side - 1); ++x) {
+              want = want || in[static_cast<std::size_t>(y) * side + x] != 0;
+            }
+          }
+          ASSERT_EQ(out[static_cast<std::size_t>(py) * os + px],
+                    want ? 1 : 0)
+              << "side " << side << " trial " << trial << " (" << px << ", "
+              << py << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(MiniCnnDirty, RejectsMasksWiderThanTheInput) {
+  const int w = MiniCnn::kInputSide * 2;
+  const std::vector<std::uint8_t> in(static_cast<std::size_t>(w) * 2, 0);
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(w / 2), 0);
+  EXPECT_THROW(MiniCnn::propagate_dirty(in, w, 2, out),
+               std::invalid_argument);
 }
 
 TEST(MiniCnnDirty, CleanMaskStaysClean) {

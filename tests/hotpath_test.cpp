@@ -5,8 +5,8 @@
 //    (verified with a counting global allocator);
 //  - the parallel simulation runner produces metrics bit-identical to the
 //    sequential runner for the same seed;
-//  - ThreadPool/parallel_for cover ranges exactly once, and pool-backed
-//    MiniCnn embedding matches the serial path bit for bit.
+//  - ThreadPool/parallel_for cover ranges exactly once, and a pool-backed
+//    MiniCnn::embed_batch matches per-image embeds bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -294,23 +294,6 @@ TEST(ThreadPoolTest, SubmitAndWaitIdleDrains) {
 }
 
 // -------------------------------------------------- MiniCnn parallelism
-
-TEST(MiniCnnParallel, PoolBackedEmbedIsBitIdentical) {
-  SceneGenerator::Config scfg;
-  scfg.num_classes = 4;
-  SceneGenerator scenes{scfg};
-  MiniCnn cnn{64, 7};
-  ThreadPool pool{3};
-  for (int cls = 0; cls < 4; ++cls) {
-    const Image img = scenes.render(cls, ViewParams{});
-    const FeatureVec serial = cnn.embed(img);
-    const FeatureVec parallel = cnn.embed(img, &pool);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i], parallel[i]) << "lane " << i;
-    }
-  }
-}
 
 TEST(MiniCnnParallel, EmbedBatchMatchesPerImageEmbeds) {
   SceneGenerator::Config scfg;

@@ -10,6 +10,7 @@
 #include "src/image/diff.hpp"
 #include "src/image/image.hpp"
 #include "src/image/scene.hpp"
+#include "src/util/rng.hpp"
 
 namespace apx {
 namespace {
@@ -84,6 +85,16 @@ TEST(Image, ResizeBadDimensionsThrow) {
   EXPECT_THROW(img.resized(0, 4), std::invalid_argument);
 }
 
+// These checks throw instead of asserting, so they hold in release builds
+// too: an empty image would otherwise index out of bounds.
+TEST(Image, ToGrayOnEmptyImageThrows) {
+  EXPECT_THROW(Image{}.to_gray(), std::invalid_argument);
+}
+
+TEST(Image, ResizeEmptyImageThrows) {
+  EXPECT_THROW(Image{}.resized(4, 4), std::invalid_argument);
+}
+
 TEST(Image, UpscaleInterpolatesBetweenPixels) {
   Image img(2, 1, 1);
   img.at(0, 0, 0) = 0.0f;
@@ -132,6 +143,22 @@ TEST(Diff, DownsampleGrayMatchesToGrayResized) {
   ASSERT_EQ(got.width(), 4);
   ASSERT_EQ(got.height(), 4);
   EXPECT_EQ(got.mean_abs_diff(want), 0.0f);
+}
+
+TEST(Diff, DownsampleGrayAtNativeSideSkipsTheResize) {
+  // A same-size bilinear resize weighs each pixel by exactly 1 and its
+  // neighbours by 0, so returning the gray image as is changes no value.
+  Image img(8, 8, 3);
+  Rng rng{5};
+  for (float& v : img.data()) v = static_cast<float>(rng.uniform());
+  const Image got = downsample_gray(img, 8);
+  const Image want = img.to_gray().resized(8, 8);
+  ASSERT_EQ(got.width(), 8);
+  ASSERT_EQ(got.height(), 8);
+  ASSERT_EQ(got.channels(), 1);
+  for (std::size_t i = 0; i < got.data().size(); ++i) {
+    EXPECT_EQ(got.data()[i], want.data()[i]) << "sample " << i;
+  }
 }
 
 TEST(Diff, BlockMeanAbsDiffIsPerBlock) {

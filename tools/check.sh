@@ -2,6 +2,7 @@
 # Tier-1 flow plus sanitizer sweeps.
 #
 #   tools/check.sh            # tier-1: default build + full ctest
+#                             # + apxbench --smoke correctness gate
 #                             # + release apxsim ladder-matrix smoke check
 #                             #   (every preset + the warm-tier ladder,
 #                             #    metrics schema validated per export)
@@ -9,7 +10,7 @@
 #                             # + tsan over the concurrency tests
 #
 # The tsan leg covers the code that can actually race: ThreadPool, the
-# parallel simulation runner, pool-backed MiniCnn embedding, and the
+# parallel simulation runner, pool-backed MiniCnn batch embedding, and the
 # concurrent shared-cache suite (readers vs writer over one ApproxCache).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +18,12 @@ cd "$(dirname "$0")/.."
 cmake --preset default
 cmake --build --preset default -j
 ctest --preset default -j
+
+# The end-to-end benchmark's correctness gate: apxbench --smoke runs every
+# workload briefly and fails unless the ladder leg matches the runner.
+cmake -S benchmark -B .bench_build/apxbench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/apxbench -j
+ctest --test-dir .bench_build/apxbench --output-on-failure
 
 # Ladder-matrix smoke check: run the release-preset driver over every
 # named preset plus the warm-tier ladder (2-device scenario), validating
@@ -189,6 +196,9 @@ if [[ "${1:-}" == "sanitize" ]]; then
   # The region-reuse suite likewise: masked partial conv recomputation is
   # the newest indexing arithmetic (halo clipping, tile splicing).
   ./build-asan-ubsan/tests/regions_test
+  # The conv kernel parity suite: tap-major weight indexing, clamped halo
+  # reads and the AVX2 body's unaligned loads/stores.
+  ./build-asan-ubsan/tests/conv_kernel_test
   # The QALSH suite in full: sorted-line cursor sweeps, pending-tail
   # merges, tombstone compaction and slot recycling are the newest
   # pointer/index arithmetic in src/ann.
