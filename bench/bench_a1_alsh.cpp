@@ -76,16 +76,14 @@ Frontier probe(NnIndex& index, const GroundTruth& truth,
   std::vector<Neighbor> out;
   QueryStats st;
   const std::size_t warm = std::min<std::size_t>(64, queries.size());
-  std::vector<float> dks;
-  dks.reserve(warm);
+  std::vector<QueryStats> seen(warm);
   for (std::size_t i = 0; i < warm; ++i) {
-    index.query_into(queries[i], 1, out, &st);
-    if (!out.empty()) dks.push_back(out.back().distance);
+    index.query_into(queries[i], 1, out, &seen[i]);
   }
-  // The cache folds observed k-th-neighbour distances back into the index
-  // after each lookup batch; give every backend the same signal (a no-op
-  // for p-stable, the start-radius retune for QALSH).
-  index.observe_query_feedback(dks, warm);
+  // The cache folds each lookup batch's query stats back into the index;
+  // give every backend the same signal (a no-op for p-stable, the width
+  // controller for A-LSH, the start-radius retune for QALSH).
+  index.observe_queries(seen);
   std::vector<std::vector<Neighbor>> results(queries.size());
   std::vector<double> ns(queries.size());
   double candidates = 0.0;

@@ -5,8 +5,9 @@
 //   1. preload a clustered working set (the shape the cache holds in the
 //      paper's steady state: many near-duplicate views of a modest object
 //      population);
-//   2. single-thread comparison: the legacy exclusive-path lookup() against
-//      lookup_batch() — the batch amortization with zero contention;
+//   2. single-thread comparison: lookup() (a batch of one plus an immediate
+//      fold) against lookup_batch() — the batch amortization with zero
+//      contention;
 //   3. read-only scaling: 1/8/16/32 threads, each with its own
 //      CacheQueryScratch, folding periodically;
 //   4. mixed 95/5 lookup/insert at 8 and 32 threads — writers take the
@@ -233,12 +234,12 @@ int main(int argc, char** argv) {
   std::printf("preload: %zu entries in %.2f s (%.0f ns/insert)\n", entries,
               preload_ns * 1e-9, preload_ns / static_cast<double>(entries));
 
-  // --- phase 2: single-thread legacy vs batched -------------------------
+  // --- phase 2: single-thread lookup() vs batched -----------------------
   const std::size_t probe_count = smoke ? 512 : 4'096;
   const std::vector<float> probes =
       clusters.query_pool(rng, probe_count / kBatch);
-  std::vector<double> legacy_ns;
-  legacy_ns.reserve(probe_count);
+  std::vector<double> single_ns;
+  single_ns.reserve(probe_count);
   {  // warm-up then timed pass, one sample per query
     for (std::size_t i = 0; i < probe_count; ++i) {
       const std::span<const float> q{probes.data() + i * kDim, kDim};
@@ -248,7 +249,7 @@ int main(int argc, char** argv) {
       const std::span<const float> q{probes.data() + i * kDim, kDim};
       const auto t0 = Clock::now();
       (void)cache.lookup({.features = q, .now = 2});
-      legacy_ns.push_back(ns_since(t0));
+      single_ns.push_back(ns_since(t0));
     }
   }
   std::vector<double> batched_ns;
@@ -274,15 +275,15 @@ int main(int argc, char** argv) {
       cache.fold_scratch(scratch);
     }
   }
-  const double legacy_p50 = percentile(legacy_ns, 50.0);
-  const double legacy_p99 = percentile(legacy_ns, 99.0);
+  const double single_p50 = percentile(single_ns, 50.0);
+  const double single_p99 = percentile(single_ns, 99.0);
   const double batched_p50 = percentile(batched_ns, 50.0);
   const double batched_p99 = percentile(batched_ns, 99.0);
   std::printf("\nsingle thread (per query):\n");
-  std::printf("  legacy lookup()   p50 %8.0f ns   p99 %8.0f ns\n", legacy_p50,
-              legacy_p99);
+  std::printf("  lookup()          p50 %8.0f ns   p99 %8.0f ns\n", single_p50,
+              single_p99);
   std::printf("  lookup_batch(%zu) p50 %8.0f ns   p99 %8.0f ns   (%.2fx p50)\n",
-              kBatch, batched_p50, batched_p99, legacy_p50 / batched_p50);
+              kBatch, batched_p50, batched_p99, single_p50 / batched_p50);
 
   // --- phase 3: read-only scaling ---------------------------------------
   std::printf("\nread-only scaling (%d ms windows):\n", window_ms);
@@ -317,8 +318,8 @@ int main(int argc, char** argv) {
 
   BenchJson json{"m4_concurrent", kDim, entries};
   // ns/query metrics: "speedup" = base/new reads as the improvement ratio.
-  json.metric("single_lookup_p50", legacy_p50, batched_p50);
-  json.metric("single_lookup_p99", legacy_p99, batched_p99);
+  json.metric("single_lookup_p50", single_p50, batched_p50);
+  json.metric("single_lookup_p99", single_p99, batched_p99);
   json.metric("read_ns_per_query_8t", read[0].ns_per_query,
               read[1].ns_per_query);
   json.metric("read_ns_per_query_16t", read[0].ns_per_query,

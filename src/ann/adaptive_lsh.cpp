@@ -22,38 +22,10 @@ void AdaptiveLshIndex::insert(VecId id, const FeatureVec& v) {
 
 bool AdaptiveLshIndex::remove(VecId id) { return base_.remove(id); }
 
-std::vector<Neighbor> AdaptiveLshIndex::query(std::span<const float> q,
-                                              std::size_t k) const {
-  std::vector<Neighbor> result;
-  query_into(q, k, result);
-  return result;
-}
-
-void AdaptiveLshIndex::query_into(std::span<const float> q, std::size_t k,
-                                  std::vector<Neighbor>& out,
-                                  QueryStats* stats) const {
-  base_.query_into(q, k, out, stats);
-  if (!out.empty()) {
-    // Feed the controller with the farthest distance this query actually
-    // needed (the k-th neighbour, or the last one found when fewer exist).
-    const double dk = static_cast<double>(out.back().distance);
-    if (dk > 0.0) {
-      if (has_ema_) {
-        dk_ema_ += params_.ema_alpha * (dk - dk_ema_);
-      } else {
-        dk_ema_ = dk;
-        has_ema_ = true;
-      }
-    }
-  }
-  ++queries_since_rebuild_;
-  maybe_adapt();
-}
-
-void AdaptiveLshIndex::observe_query_feedback(
-    std::span<const float> dk_samples, std::size_t query_count) {
-  for (const float dk_f : dk_samples) {
-    const double dk = static_cast<double>(dk_f);
+void AdaptiveLshIndex::observe_queries(std::span<const QueryStats> stats) {
+  base_.observe_queries(stats);
+  for (const QueryStats& st : stats) {
+    const double dk = static_cast<double>(st.farthest);
     if (dk <= 0.0) continue;
     if (has_ema_) {
       dk_ema_ += params_.ema_alpha * (dk - dk_ema_);
@@ -62,7 +34,7 @@ void AdaptiveLshIndex::observe_query_feedback(
       has_ema_ = true;
     }
   }
-  queries_since_rebuild_ += query_count;
+  queries_since_rebuild_ += stats.size();
   maybe_adapt();
 }
 
@@ -72,7 +44,7 @@ void AdaptiveLshIndex::attach_metrics(MetricsRegistry& metrics) {
   rebuilds_counter_ = metrics.counter("ann/rebuilds");
 }
 
-void AdaptiveLshIndex::maybe_adapt() const {
+void AdaptiveLshIndex::maybe_adapt() {
   if (!has_ema_ || base_.size() < params_.min_size_to_adapt ||
       queries_since_rebuild_ < params_.min_queries_between_rebuilds) {
     return;

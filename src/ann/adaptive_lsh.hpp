@@ -6,7 +6,8 @@
 // the loop: it tracks a moving estimate of the k-th-neighbour distance seen
 // by real queries and periodically rebuilds the tables so that
 // w ~= width_factor * d_k, keeping both recall and candidate counts stable
-// as the cache fills up.
+// as the cache fills up. The estimate is fed only through observe_queries()
+// — the query path itself is plain, read-only p-stable LSH.
 
 #include <memory>
 
@@ -31,37 +32,23 @@ struct AdaptiveLshParams {
 /// Self-tuning LSH index (see file comment).
 ///
 /// Thread-safety: query_batch_into() with per-caller scratches is read-only
-/// and safe for concurrent callers; everything else — including query() and
-/// query_into(), whose controller feed mutates the EMA and can trigger a
-/// rebuild despite the const signature — requires exclusive access.
+/// and safe for concurrent callers — it queries the *current* tables and
+/// feeds nothing. The width controller learns only through
+/// observe_queries(), which (like insert/remove) requires exclusive access
+/// because it may rebuild the tables.
 class AdaptiveLshIndex final : public NnIndex {
  public:
   AdaptiveLshIndex(std::size_t dim, const AdaptiveLshParams& params);
 
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  /// Queries and, as a side effect, feeds the width controller. Logically
-  /// const (results are unaffected within a call), hence the mutable state.
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-  /// Zero-steady-state-allocation variant of query() (same side effects);
-  /// a rebuild, when the controller triggers one, does allocate.
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
 
   /// Forwards to the base index's per-caller scratch.
   std::unique_ptr<IndexScratch> make_scratch() const override {
     return base_.make_scratch();
   }
 
-  /// Read-only batched query against the *current* tables: unlike
-  /// query_into, it feeds neither the d_k estimate nor the rebuild
-  /// trigger, so concurrent callers (one scratch each) never contend on
-  /// controller state. Callers that want adaptation under a batched
-  /// workload collect farthest-neighbour distances and hand them back via
-  /// observe_query_feedback() under exclusive access (ApproxCache::
-  /// fold_scratch does exactly this).
+  /// Read-only query against the current tables (the base index's).
   void query_batch_into(std::span<const float> queries, std::size_t count,
                         std::size_t k, IndexScratch* scratch,
                         std::span<std::vector<Neighbor>> results,
@@ -69,11 +56,12 @@ class AdaptiveLshIndex final : public NnIndex {
     base_.query_batch_into(queries, count, k, scratch, results, stats);
   }
 
-  /// Deferred controller feed for the batched path (exclusive access):
-  /// applies each d_k sample to the EMA in order, advances the query
-  /// counter by `query_count`, then runs the usual rebuild check once.
-  void observe_query_feedback(std::span<const float> dk_samples,
-                              std::size_t query_count) override;
+  /// The controller feed (exclusive access): records the base index's
+  /// instruments, applies each query's farthest returned distance to the
+  /// d_k EMA in order, advances the query counter by stats.size(), then
+  /// runs the rebuild check once. A single query folded at once (a cache
+  /// lookup) therefore adapts after every query.
+  void observe_queries(std::span<const QueryStats> stats) override;
   std::size_t size() const noexcept override { return base_.size(); }
   std::size_t dim() const noexcept override { return base_.dim(); }
 
@@ -93,14 +81,14 @@ class AdaptiveLshIndex final : public NnIndex {
   std::size_t rebuild_count() const noexcept { return rebuilds_; }
 
  private:
-  void maybe_adapt() const;
+  void maybe_adapt();
 
   AdaptiveLshParams params_;
-  mutable PStableLshIndex base_;
-  mutable double dk_ema_ = 0.0;
-  mutable bool has_ema_ = false;
-  mutable std::size_t queries_since_rebuild_ = 0;
-  mutable std::size_t rebuilds_ = 0;
+  PStableLshIndex base_;
+  double dk_ema_ = 0.0;
+  bool has_ema_ = false;
+  std::size_t queries_since_rebuild_ = 0;
+  std::size_t rebuilds_ = 0;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t rebuilds_counter_ = 0;
 };

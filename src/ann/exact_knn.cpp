@@ -2,45 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace apx {
 
 ExactKnnIndex::ExactKnnIndex(std::size_t dim) : dim_(dim) {
-  assert(dim > 0);
+  if (dim == 0) throw std::invalid_argument("ExactKnnIndex: dim must be > 0");
 }
 
 void ExactKnnIndex::insert(VecId id, const FeatureVec& v) {
-  assert(v.size() == dim_);
-  [[maybe_unused]] const auto [_, inserted] = vectors_.emplace(id, v);
-  assert(inserted && "duplicate id");
+  if (v.size() != dim_) {
+    throw std::invalid_argument("ExactKnnIndex::insert: bad vector size");
+  }
+  if (!vectors_.emplace(id, v).second) {
+    // emplace keeps the old vector: a silent duplicate would answer with a
+    // vector the caller believes it replaced.
+    throw std::invalid_argument("ExactKnnIndex::insert: duplicate id");
+  }
 }
 
 bool ExactKnnIndex::remove(VecId id) { return vectors_.erase(id) > 0; }
 
-std::vector<Neighbor> ExactKnnIndex::query(std::span<const float> q,
-                                           std::size_t k) const {
-  std::vector<Neighbor> out;
-  query_into(q, k, out);
-  return out;
-}
-
-void ExactKnnIndex::query_into(std::span<const float> q, std::size_t k,
-                               std::vector<Neighbor>& out,
-                               QueryStats* stats) const {
-  assert(q.size() == dim_);
-  if (stats != nullptr) *stats = {vectors_.size(), 0, 0};
-  out.clear();
-  out.reserve(vectors_.size());
-  for (const auto& [id, v] : vectors_) {
-    out.push_back({id, l2(q, v)});
+void ExactKnnIndex::query_batch_into(std::span<const float> queries,
+                                     std::size_t count, std::size_t k,
+                                     IndexScratch* scratch,
+                                     std::span<std::vector<Neighbor>> results,
+                                     QueryStats* stats) const {
+  (void)scratch;
+  assert(queries.size() == count * dim_);
+  assert(results.size() >= count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<const float> q = queries.subspan(i * dim_, dim_);
+    std::vector<Neighbor>& out = results[i];
+    out.clear();
+    out.reserve(vectors_.size());
+    for (const auto& [id, v] : vectors_) {
+      out.push_back({id, l2(q, v)});
+    }
+    const std::size_t take = std::min(k, out.size());
+    std::partial_sort(
+        out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take),
+        out.end(), [](const Neighbor& a, const Neighbor& b) {
+          return a.distance < b.distance ||
+                 (a.distance == b.distance && a.id < b.id);
+        });
+    out.resize(take);
+    if (stats != nullptr) {
+      stats[i] = {};
+      stats[i].candidates = vectors_.size();
+      stats[i].farthest = out.empty() ? 0.0f : out.back().distance;
+    }
   }
-  const std::size_t take = std::min(k, out.size());
-  std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take),
-                    out.end(), [](const Neighbor& a, const Neighbor& b) {
-                      return a.distance < b.distance ||
-                             (a.distance == b.distance && a.id < b.id);
-                    });
-  out.resize(take);
 }
 
 }  // namespace apx

@@ -11,24 +11,24 @@ namespace apx {
 
 /// Linear-scan exact kNN.
 ///
-/// Thread-safety: query()/query_into() are genuinely const (no internal
-/// scratch, no accounting members), so the inherited query_batch_into()
-/// default — a loop over query_into with no scratch — is already safe for
-/// concurrent callers. Only insert()/remove() require exclusive access.
+/// Thread-safety: query_batch_into() keeps no query state (no scratch, no
+/// accounting members), so it is safe for concurrent callers with or
+/// without a scratch. Only insert()/remove() require exclusive access.
 class ExactKnnIndex final : public NnIndex {
  public:
+  /// Throws std::invalid_argument when `dim` is 0.
   explicit ExactKnnIndex(std::size_t dim);
 
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-  /// Scores every stored vector into `out` (reusing its capacity), then
-  /// partial-sorts the top k — zero heap allocations once `out` has grown
-  /// to the index size. `stats` (optional) reports the full scan size.
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
+  /// Scores every stored vector into each result vector (reusing its
+  /// capacity), then partial-sorts the top k — zero heap allocations once
+  /// the results have grown to the index size. `stats` (optional) reports
+  /// the full scan size. `scratch` is unused.
+  void query_batch_into(std::span<const float> queries, std::size_t count,
+                        std::size_t k, IndexScratch* scratch,
+                        std::span<std::vector<Neighbor>> results,
+                        QueryStats* stats = nullptr) const override;
   std::size_t size() const noexcept override { return vectors_.size(); }
   std::size_t dim() const noexcept override { return dim_; }
 

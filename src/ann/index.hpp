@@ -1,8 +1,13 @@
 #pragma once
 // Nearest-neighbour index abstraction the approximate cache builds on.
 // Implementations: ExactKnnIndex (linear scan baseline), PStableLshIndex,
-// and AdaptiveLshIndex (the A-LSH variant the poster's lineage uses).
-// New backends register in make_index() (src/ann/factory.hpp).
+// AdaptiveLshIndex (the A-LSH variant the poster's lineage uses) and
+// QalshIndex. New backends register in make_index() (src/ann/factory.hpp).
+//
+// One read path: a backend answers queries only through query_batch_into()
+// (read-only, caller-owned scratch) and learns from them only through
+// observe_queries() (exclusive, fold time). query()/query_into() are a
+// batch of one on an index-owned scratch.
 
 #include <cstdint>
 #include <memory>
@@ -24,106 +29,104 @@ struct Neighbor {
   float distance = 0.0f;
 };
 
-/// Opaque per-caller working set for the batched read-only query path.
-/// Backends that keep reusable query buffers (the LSH family) return their
-/// own derived type from NnIndex::make_scratch(); one instance per querying
-/// thread makes query_batch_into() safe for concurrent callers. Like the
-/// legacy internal scratch, it grows to its high-water mark and is never
-/// shrunk, so steady-state batched queries allocate nothing.
+/// Opaque per-caller working set for query_batch_into(). Backends that keep
+/// reusable query buffers (the LSH family) return their own derived type
+/// from NnIndex::make_scratch(); one instance per querying thread makes
+/// query_batch_into() safe for concurrent callers. It grows to its
+/// high-water mark and is never shrunk, so steady-state queries allocate
+/// nothing.
 class IndexScratch {
  public:
   virtual ~IndexScratch() = default;
 };
 
+/// Why a query's search stopped. Only QALSH's radius sweep reports one
+/// (the "ann/qalsh/*_stop" counters); the other backends leave kNone.
+enum class SweepStop : std::uint8_t { kNone, kC1, kC2, kExhausted };
+
 /// Per-query work accounting, returned by value so concurrent readers never
-/// share mutable index state. Both the single-query path (query_into's
-/// `stats` out-parameter) and the batched path fill one of these; there is
-/// no index-owned mirror to race on.
+/// share mutable index state. The query path fills one per query; the
+/// caller hands them back through NnIndex::observe_queries(), which records
+/// the ANN instruments and feeds the self-tuning controllers.
 struct QueryStats {
   std::size_t candidates = 0;        ///< vectors whose distance was computed
   std::size_t rerank_survivors = 0;  ///< exact re-rank pass size (SQ8 only)
   std::size_t rounds = 0;            ///< virtual-rehash rounds (QALSH only)
+  std::size_t collisions = 0;  ///< line entries collision-counted (QALSH)
+  SweepStop stop = SweepStop::kNone;  ///< why the sweep stopped (QALSH)
+  /// Distance of the farthest returned neighbour (the k-th, or the last one
+  /// found when fewer exist); 0 when nothing was returned. The A-LSH width
+  /// and QALSH radius controllers' food.
+  float farthest = 0.0f;
 };
 
 /// Mutable nearest-neighbour index over fixed-dimension float vectors.
 ///
 /// All implementations return *exact* distances for the candidates they
 /// surface; approximation only affects which candidates are considered.
+/// Each backend has one query implementation, query_batch_into(); a single
+/// query is a batch of one.
 class NnIndex {
  public:
   virtual ~NnIndex() = default;
 
-  /// Adds a vector under `id`. Ids must be unique; re-inserting an existing
-  /// id is a precondition violation.
+  /// Adds a vector under `id`. Throws std::invalid_argument when `v` is not
+  /// dim() long or `id` is already stored.
   virtual void insert(VecId id, const FeatureVec& v) = 0;
 
   /// Removes `id` if present; returns whether it was.
   virtual bool remove(VecId id) = 0;
 
   /// Returns up to `k` nearest stored vectors, closest first.
-  virtual std::vector<Neighbor> query(std::span<const float> q,
-                                      std::size_t k) const = 0;
+  std::vector<Neighbor> query(std::span<const float> q, std::size_t k) const;
 
-  /// Allocation-conscious query path: clears and fills `out` with up to `k`
-  /// nearest stored vectors, closest first, and — when `stats` is non-null —
-  /// fills it with this query's work accounting. Implementations that keep
-  /// an internal scratch (the LSH family, the exact scan) perform zero heap
-  /// allocations in steady state — `out`'s capacity and the scratch are
-  /// reused across calls. The default simply wraps query() and assumes a
-  /// full scan for accounting.
-  virtual void query_into(std::span<const float> q, std::size_t k,
-                          std::vector<Neighbor>& out,
-                          QueryStats* stats = nullptr) const {
-    out = query(q, k);
-    if (stats != nullptr) *stats = {size(), 0, 0};
-  }
+  /// Clears and fills `out` with up to `k` nearest stored vectors, closest
+  /// first, and — when `stats` is non-null — fills it with this query's work
+  /// accounting. A batch of one through query_batch_into() on a scratch the
+  /// index owns, so one caller at a time; steady-state calls perform zero
+  /// heap allocations (`out`'s capacity and the scratch are reused). Like
+  /// the batch path it records no instrument and feeds no controller: hand
+  /// `stats` to observe_queries() for that. Throws std::invalid_argument
+  /// when `q` is not dim() long.
+  void query_into(std::span<const float> q, std::size_t k,
+                  std::vector<Neighbor>& out,
+                  QueryStats* stats = nullptr) const;
 
   /// Creates the per-caller scratch query_batch_into() uses. Returns
-  /// nullptr for backends whose query path is already pure (the exact scan
-  /// keeps no query state, so the default batch loop is thread-safe as-is).
+  /// nullptr for backends whose query path keeps no state (the exact scan).
   /// Callers that query one index from many threads hold one scratch per
   /// thread; the scratch must not outlive the index.
   virtual std::unique_ptr<IndexScratch> make_scratch() const {
     return nullptr;
   }
 
-  /// Batched query path: `queries` holds `count` row-major dim()-sized
-  /// vectors; fills results[i] with up to `k` nearest stored vectors for
-  /// query i (closest first, same order/tie-break contract as query_into)
-  /// and, when `stats` is non-null, stats[i] with that query's work
-  /// accounting. Both spans must hold at least `count` elements.
+  /// The query path: `queries` holds `count` row-major dim()-sized vectors;
+  /// fills results[i] with up to `k` nearest stored vectors for query i
+  /// (closest first, ties broken by id) and, when `stats` is non-null,
+  /// stats[i] with that query's work accounting. Both spans must hold at
+  /// least `count` elements; `scratch` must come from make_scratch().
   ///
-  /// Thread-safety contract: with a distinct make_scratch() scratch per
-  /// caller this is a *read-only* operation — no metrics recording, no
-  /// index-owned accounting updates, no width-controller feedback — so any
-  /// number of threads may run it concurrently against each other (but not
-  /// against insert/remove/rebuild, which require exclusive access; the
-  /// cache layer provides that discipline). Backends amortize per-batch
-  /// work here (the LSH family hashes table-major so each projection matrix
-  /// stays hot across the whole batch); this default simply loops over
-  /// query_into and is concurrency-safe only when query_into is genuinely
-  /// const (the exact scan), so stateful backends must override it.
+  /// Thread-safety contract: with a distinct scratch per caller this is a
+  /// *read-only* operation — no metrics recording, no controller feedback —
+  /// so any number of threads may run it concurrently against each other
+  /// (but not against insert/remove/observe_queries, which require
+  /// exclusive access; the cache layer provides that discipline). Backends
+  /// amortize per-batch work here (the LSH family hashes table-major so
+  /// each projection matrix stays hot across the whole batch).
   virtual void query_batch_into(std::span<const float> queries,
                                 std::size_t count, std::size_t k,
                                 IndexScratch* scratch,
                                 std::span<std::vector<Neighbor>> results,
-                                QueryStats* stats = nullptr) const {
-    (void)scratch;
-    for (std::size_t i = 0; i < count; ++i) {
-      query_into(queries.subspan(i * dim(), dim()), k, results[i],
-                 stats != nullptr ? &stats[i] : nullptr);
-    }
-  }
+                                QueryStats* stats = nullptr) const = 0;
 
-  /// Applies query feedback gathered on the batched read path, under the
-  /// caller's exclusive access: `dk_samples` are the farthest returned
-  /// distances of recent queries, `query_count` how many queries ran.
-  /// Self-tuning backends (A-LSH) feed their width controller here instead
-  /// of inside the read-only batch path. Default: stateless, ignore.
-  virtual void observe_query_feedback(std::span<const float> dk_samples,
-                                      std::size_t query_count) {
-    (void)dk_samples;
-    (void)query_count;
+  /// The fold-time hook, under the caller's exclusive access: `stats` are
+  /// the QueryStats of queries answered since the last call, in order.
+  /// Backends record their per-query instruments ("ann/candidates",
+  /// "ann/rerank_survivors", "ann/qalsh/*") and feed their controllers
+  /// (A-LSH's width, QALSH's start radius) here, never on the query path.
+  /// Default: nothing to record, nothing to tune.
+  virtual void observe_queries(std::span<const QueryStats> stats) {
+    (void)stats;
   }
 
   /// The lossy reconstruction of `id`'s stored vector as the quantized
@@ -144,6 +147,10 @@ class NnIndex {
 
   /// Vector dimensionality the index was built for.
   virtual std::size_t dim() const noexcept = 0;
+
+ private:
+  /// query_into()'s batch-of-one scratch, created on first use.
+  mutable std::unique_ptr<IndexScratch> own_scratch_;
 };
 
 }  // namespace apx

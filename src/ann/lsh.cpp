@@ -29,7 +29,7 @@ PStableLshIndex::PStableLshIndex(std::size_t dim, const LshParams& params)
           static_cast<float>(rng.uniform(0.0, params.bucket_width));
     }
   }
-  prepare_scratch(scratch_);
+  prepare_scratch(insert_scratch_);
 }
 
 void PStableLshIndex::prepare_scratch(QueryScratch& sc) const {
@@ -92,14 +92,18 @@ void PStableLshIndex::link_slot(Slot slot) {
   const std::span<const float> v = slot_vec(slot);
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     const std::uint64_t key =
-        compute_coords(scratch_, tables_[t], v, /*want_fractions=*/false);
+        compute_coords(insert_scratch_, tables_[t], v,
+                       /*want_fractions=*/false);
     tables_[t].buckets[key].push_back(slot);
     slot_keys_[static_cast<std::size_t>(slot) * tables_.size() + t] = key;
   }
 }
 
 void PStableLshIndex::insert(VecId id, const FeatureVec& v) {
-  assert(v.size() == dim_);
+  if (v.size() != dim_) {
+    // A longer vector would be copied past its arena row.
+    throw std::invalid_argument("PStableLshIndex::insert: bad vector size");
+  }
   if (quantized()) {
     // Validate before any state changes: sq8_encode rejects non-finite
     // input, and throwing after the slot was claimed would leave the id
@@ -168,13 +172,6 @@ bool PStableLshIndex::remove(VecId id) {
   free_slots_.push_back(slot);
   id_to_slot_.erase(it);
   return true;
-}
-
-std::vector<Neighbor> PStableLshIndex::query(std::span<const float> q,
-                                             std::size_t k) const {
-  std::vector<Neighbor> result;
-  query_into(q, k, result);
-  return result;
 }
 
 void PStableLshIndex::hash_query(QueryScratch& sc, const Table& table,
@@ -267,27 +264,6 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   out.resize(take);
 }
 
-void PStableLshIndex::query_into(std::span<const float> q, std::size_t k,
-                                 std::vector<Neighbor>& out,
-                                 QueryStats* stats) const {
-  assert(q.size() == dim_);
-  QueryScratch& sc = scratch_;
-  const std::size_t per_table = 1 + probes();
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    hash_query(sc, tables_[t], q, sc.keys.data() + t * per_table);
-  }
-  QueryStats st;
-  gather_score(sc, q, k, sc.keys.data(), out, st);
-  if (metrics_ != nullptr) {
-    metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
-    if (quantized()) {
-      metrics_->record(rerank_hist_,
-                       static_cast<double>(st.rerank_survivors));
-    }
-  }
-  if (stats != nullptr) *stats = st;
-}
-
 void PStableLshIndex::query_batch_into(std::span<const float> queries,
                                        std::size_t count, std::size_t k,
                                        IndexScratch* scratch,
@@ -316,13 +292,25 @@ void PStableLshIndex::query_batch_into(std::span<const float> queries,
                  sc.keys.data() + b * per_query + t * per_table);
     }
   }
-  // Stages 2+3 per query, replaying the staged keys in the exact bucket
-  // order the single-query path probes — results are byte-identical.
+  // Stages 2+3 per query, replaying each query's staged keys in table
+  // order — a query's result does not depend on its batch.
   for (std::size_t b = 0; b < count; ++b) {
     QueryStats st;
     gather_score(sc, queries.subspan(b * dim_, dim_), k,
                  sc.keys.data() + b * per_query, results[b], st);
+    if (!results[b].empty()) st.farthest = results[b].back().distance;
     if (stats != nullptr) stats[b] = st;
+  }
+}
+
+void PStableLshIndex::observe_queries(std::span<const QueryStats> stats) {
+  if (metrics_ == nullptr) return;
+  for (const QueryStats& st : stats) {
+    metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
+    if (quantized()) {
+      metrics_->record(rerank_hist_,
+                       static_cast<double>(st.rerank_survivors));
+    }
   }
 }
 

@@ -11,9 +11,9 @@
 //  - stored vectors live in a contiguous slot-indexed arena, so candidate
 //    scoring is a batched gather kernel (l2_sq_gather) rather than one
 //    hash-map lookup plus pointer chase per candidate;
-//  - a reusable per-index QueryScratch (coords, fractions, probe order,
+//  - a reusable per-caller QueryScratch (coords, fractions, probe order,
 //    candidate and distance buffers, a generation-stamped seen mask) makes
-//    steady-state queries perform zero heap allocations via query_into().
+//    steady-state queries perform zero heap allocations.
 
 #include <algorithm>
 #include <cstdint>
@@ -51,19 +51,18 @@ struct LshParams {
 ///    is read-only: any number of threads may run it concurrently against
 ///    each other. It touches no index state — candidates, distances, seen
 ///    stamps, and work accounting all live in the caller's scratch.
-///  - query()/query_into() use the index-owned scratch and record metrics:
-///    one caller at a time (work accounting is returned via the QueryStats
-///    out-parameter, never stored on the index).
-///  - insert()/remove()/rebuild_with_width()/attach_metrics() mutate tables
-///    and arenas: exclusive access required (no concurrent readers).
+///  - query()/query_into() use the index-owned scratch: one caller at a
+///    time.
+///  - insert()/remove()/rebuild_with_width()/observe_queries()/
+///    attach_metrics() mutate tables, arenas or instruments: exclusive
+///    access required (no concurrent readers).
 /// The cache layer (ApproxCache) enforces this discipline with its
 /// reader-writer lock; a bare index embedded elsewhere must do the same.
 class PStableLshIndex final : public NnIndex {
  public:
   /// Per-caller reusable query working set; grows to the high-water mark
-  /// and is never shrunk, so steady-state queries allocate nothing. The
-  /// index owns one for the legacy single-query path; the batched path
-  /// hands each querying thread its own via make_scratch().
+  /// and is never shrunk, so steady-state queries allocate nothing. Each
+  /// querying thread gets its own via make_scratch().
   struct QueryScratch {
     std::vector<float> projected;       // k projections of one table
     std::vector<std::int64_t> coords;   // quantized per-hash coordinates
@@ -83,21 +82,11 @@ class PStableLshIndex final : public NnIndex {
 
   PStableLshIndex(std::size_t dim, const LshParams& params);
 
-  /// Adds a vector under `id`. Throws std::invalid_argument on a duplicate
-  /// id (a silent duplicate would leave stale slots in the tables).
+  /// Adds a vector under `id`. Throws std::invalid_argument when `v` is
+  /// not dim() long or on a duplicate id (a silent duplicate would leave
+  /// stale slots in the tables).
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-
-  /// Allocation-free query path: clears and fills `out` with up to `k`
-  /// nearest stored vectors, closest first, and fills `stats` (optional)
-  /// with the query's work accounting. After a warm-up call with a
-  /// comparable workload, performs zero heap allocations (the internal
-  /// scratch and `out`'s capacity are reused).
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
 
   /// One QueryScratch per querying thread (see class comment).
   std::unique_ptr<IndexScratch> make_scratch() const override;
@@ -105,9 +94,11 @@ class PStableLshIndex final : public NnIndex {
   /// Read-only batched query (see NnIndex::query_batch_into). Hashes
   /// table-major — each table's projection matrix is applied to the whole
   /// batch before moving on — so the matrices and offsets stay hot in cache
-  /// across frames; candidate gathering and scoring then run per query with
-  /// byte-identical results to query_into. Requires a scratch obtained from
-  /// make_scratch(); throws std::invalid_argument otherwise.
+  /// across frames; candidate gathering and scoring then run per query, so
+  /// a query's result does not depend on its batch. After a warm-up batch
+  /// with a comparable workload, performs zero heap allocations. Requires a
+  /// scratch obtained from make_scratch(); throws std::invalid_argument
+  /// otherwise.
   void query_batch_into(std::span<const float> queries, std::size_t count,
                         std::size_t k, IndexScratch* scratch,
                         std::span<std::vector<Neighbor>> results,
@@ -124,6 +115,10 @@ class PStableLshIndex final : public NnIndex {
   /// Lossy SQ8 reconstruction of `id`'s stored vector; empty when `id` is
   /// absent or the scan is not quantized.
   FeatureVec reconstructed(VecId id) const override;
+
+  /// Records each query's "ann/candidates" (and, quantized, its
+  /// "ann/rerank_survivors") sample when metrics are attached.
+  void observe_queries(std::span<const QueryStats> stats) override;
 
   /// Registers the "ann/candidates" per-query candidate-set histogram,
   /// plus "ann/rerank_survivors" when the quantized scan is active.
@@ -205,10 +200,10 @@ class PStableLshIndex final : public NnIndex {
   std::vector<float> sq8_scale_;          ///< per-slot grid scale
   std::vector<float> sq8_recon_norm_sq_;  ///< per-slot |reconstruction|^2
 
-  // Legacy single-query path only: the index-owned scratch. The batched
-  // path never touches it (its scratch and QueryStats are caller-owned),
-  // which is what makes that path read-only.
-  mutable QueryScratch scratch_;
+  // Hashing buffers for insert()/rebuild_with_width(). The query path never
+  // touches them (its scratch is caller-owned), which is what makes that
+  // path read-only.
+  QueryScratch insert_scratch_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t candidates_hist_ = 0;
   std::uint32_t rerank_hist_ = 0;

@@ -74,7 +74,7 @@ QalshIndex::QalshIndex(std::size_t dim, const QalshParams& params)
   proj_.resize(scheme_.m * dim);
   for (float& x : proj_) x = static_cast<float>(rng.normal());
   lines_.resize(scheme_.m);
-  prepare_scratch(scratch_);
+  insert_proj_.resize(scheme_.m);
 }
 
 void QalshIndex::prepare_scratch(QueryScratch& sc) const {
@@ -123,7 +123,10 @@ QalshIndex::Slot QalshIndex::claim_slot(VecId id, const FeatureVec& v) {
 }
 
 void QalshIndex::insert(VecId id, const FeatureVec& v) {
-  assert(v.size() == dim_);
+  if (v.size() != dim_) {
+    // A longer vector would be copied past its arena row.
+    throw std::invalid_argument("QalshIndex::insert: bad vector size");
+  }
   // Validate before any state changes: a non-finite projection would poison
   // the sorted line order (and sq8_encode rejects it anyway), and throwing
   // after the slot was claimed would leave the id map inconsistent.
@@ -142,9 +145,9 @@ void QalshIndex::insert(VecId id, const FeatureVec& v) {
   it->second = slot;
   // One matrix-vector pass over the flat projection matrix, then append to
   // every line's pending tail (merged in batches, below).
-  dot_batch(v, proj_.data(), scheme_.m, scratch_.proj_q.data());
+  dot_batch(v, proj_.data(), scheme_.m, insert_proj_.data());
   for (std::size_t i = 0; i < scheme_.m; ++i) {
-    lines_[i].pending.push_back({scratch_.proj_q[i], slot});
+    lines_[i].pending.push_back({insert_proj_[i], slot});
   }
   // Amortized merge: a per-insert merge would be O(n) each;
   // batching max(64, n/64) inserts amortizes the merge while bounding the
@@ -213,13 +216,6 @@ void QalshIndex::compact() {
   if (metrics_ != nullptr) metrics_->inc(compactions_counter_);
 }
 
-std::vector<Neighbor> QalshIndex::query(std::span<const float> q,
-                                        std::size_t k) const {
-  std::vector<Neighbor> result;
-  query_into(q, k, result);
-  return result;
-}
-
 void QalshIndex::score_from(QueryScratch& sc, std::span<const float> q,
                             std::size_t from, std::size_t k) const {
   const std::size_t total = sc.candidates.size();
@@ -256,14 +252,12 @@ void QalshIndex::score_from(QueryScratch& sc, std::span<const float> q,
   }
 }
 
-QalshIndex::SweepOutcome QalshIndex::collect(QueryScratch& sc,
-                                             const float* proj_q,
-                                             std::span<const float> q,
-                                             std::size_t k) const {
+void QalshIndex::collect(QueryScratch& sc, const float* proj_q,
+                         std::span<const float> q, std::size_t k,
+                         QueryStats& st) const {
   const std::size_t m = scheme_.m;
   const std::uint16_t l = static_cast<std::uint16_t>(scheme_.l);
   const std::size_t n = id_to_slot_.size();
-  SweepOutcome sw;
 
   // Stamp-reset collision-frequency table over arena slots: no clearing
   // between queries (a stamp survives until the 32-bit generation wraps,
@@ -310,7 +304,7 @@ QalshIndex::SweepOutcome QalshIndex::collect(QueryScratch& sc,
   bool done = false;
 
   while (!done) {
-    ++sw.rounds;
+    ++st.rounds;
     // Virtual rehashing: the collision window at radius R is
     // |h(o) - h(q)| <= w*R/2 — widening R touches no stored state.
     const float hw = 0.5f * scheme_.w * radius;
@@ -319,7 +313,7 @@ QalshIndex::SweepOutcome QalshIndex::collect(QueryScratch& sc,
       const HashLine& line = lines_[i];
       const float pq = proj_q[i];
       const auto touch = [&](Slot slot) {
-        ++sw.touched;
+        ++st.collisions;
         if (sc.stamp[slot] != gen) {
           sc.stamp[slot] = gen;
           sc.freq[slot] = 0;
@@ -360,7 +354,7 @@ QalshIndex::SweepOutcome QalshIndex::collect(QueryScratch& sc,
       // C2, checked per line so a dense round can't overshoot the budget
       // by more than one line's sweep.
       if (sc.candidates.size() >= want) {
-        sw.stop = Stop::kC2;
+        st.stop = SweepStop::kC2;
         done = true;
       }
     }
@@ -378,21 +372,20 @@ QalshIndex::SweepOutcome QalshIndex::collect(QueryScratch& sc,
     if (k > 0 && sc.heap.size() >= k) {
       const float bound = c * radius;
       if (sc.heap.front() <= bound * bound) {
-        sw.stop = Stop::kC1;
+        st.stop = SweepStop::kC1;
         break;
       }
     }
     if (exhausted) {
       // Every line fully swept: every live slot reached frequency m >= l,
       // so the candidate set is the whole index and the result is exact.
-      sw.stop = Stop::kExhausted;
+      st.stop = SweepStop::kExhausted;
       break;
     }
     prev_hw = hw;
     radius *= c;
   }
   sc.last_candidates = sc.candidates.size();
-  return sw;
 }
 
 void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
@@ -457,47 +450,16 @@ void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
 
 void QalshIndex::query_one(QueryScratch& sc, const float* proj_q,
                            std::span<const float> q, std::size_t k,
-                           std::vector<Neighbor>& out, QueryStats& st,
-                           SweepOutcome& sweep) const {
+                           std::vector<Neighbor>& out, QueryStats& st) const {
   st = {};
-  sweep = {};
+  st.stop = SweepStop::kExhausted;  // nothing to sweep counts as exhausted
   if (k == 0 || id_to_slot_.empty()) {
     out.clear();
     return;
   }
-  sweep = collect(sc, proj_q, q, k);
-  st.rounds = sweep.rounds;
+  collect(sc, proj_q, q, k, st);
   finalize(sc, q, k, out, st);
-}
-
-void QalshIndex::query_into(std::span<const float> q, std::size_t k,
-                            std::vector<Neighbor>& out,
-                            QueryStats* stats) const {
-  assert(q.size() == dim_);
-  QueryScratch& sc = scratch_;
-  dot_batch(q, proj_.data(), scheme_.m, sc.proj_q.data());
-  QueryStats st;
-  SweepOutcome sweep;
-  query_one(sc, sc.proj_q.data(), q, k, out, st, sweep);
-  if (metrics_ != nullptr) {
-    metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
-    if (quantized()) {
-      metrics_->record(rerank_hist_,
-                       static_cast<double>(st.rerank_survivors));
-    }
-    metrics_->record(collisions_hist_, static_cast<double>(sweep.touched));
-    metrics_->record(rounds_hist_, static_cast<double>(sweep.rounds));
-    switch (sweep.stop) {
-      case Stop::kC1: metrics_->inc(c1_counter_); break;
-      case Stop::kC2: metrics_->inc(c2_counter_); break;
-      case Stop::kExhausted: metrics_->inc(exhausted_counter_); break;
-    }
-  }
-  // No controller feed here: observe_query_feedback() is the radius
-  // controller's only input, so query_into and query_batch_into always run
-  // the same schedule and their results stay byte-identical (unlike A-LSH,
-  // whose legacy path feeds its width controller inline).
-  if (stats != nullptr) *stats = st;
+  if (!out.empty()) st.farthest = out.back().distance;
 }
 
 void QalshIndex::query_batch_into(std::span<const float> queries,
@@ -522,23 +484,34 @@ void QalshIndex::query_batch_into(std::span<const float> queries,
     dot_batch(queries.subspan(b * dim_, dim_), proj_.data(), m,
               sc.proj_q.data() + b * m);
   }
-  // Sweeps per query, replaying exactly the single-query code path —
-  // results are byte-identical to query_into. No metrics, no controller
-  // feed: this path is read-only.
+  // Sweeps per query. No metrics, no controller feed: this path is
+  // read-only (observe_queries() does both at fold time).
   for (std::size_t b = 0; b < count; ++b) {
     QueryStats st;
-    SweepOutcome sweep;
     query_one(sc, sc.proj_q.data() + b * m, queries.subspan(b * dim_, dim_),
-              k, results[b], st, sweep);
+              k, results[b], st);
     if (stats != nullptr) stats[b] = st;
   }
 }
 
-void QalshIndex::observe_query_feedback(std::span<const float> dk_samples,
-                                        std::size_t query_count) {
-  (void)query_count;
-  for (const float dk_f : dk_samples) {
-    const double dk = static_cast<double>(dk_f);
+void QalshIndex::observe_queries(std::span<const QueryStats> stats) {
+  for (const QueryStats& st : stats) {
+    if (metrics_ != nullptr) {
+      metrics_->record(candidates_hist_, static_cast<double>(st.candidates));
+      if (quantized()) {
+        metrics_->record(rerank_hist_,
+                         static_cast<double>(st.rerank_survivors));
+      }
+      metrics_->record(collisions_hist_, static_cast<double>(st.collisions));
+      metrics_->record(rounds_hist_, static_cast<double>(st.rounds));
+      switch (st.stop) {
+        case SweepStop::kC1: metrics_->inc(c1_counter_); break;
+        case SweepStop::kC2: metrics_->inc(c2_counter_); break;
+        case SweepStop::kExhausted: metrics_->inc(exhausted_counter_); break;
+        case SweepStop::kNone: break;
+      }
+    }
+    const double dk = static_cast<double>(st.farthest);
     if (dk <= 0.0) continue;
     if (has_ema_) {
       dk_ema_ += kEmaAlpha * (dk - dk_ema_);

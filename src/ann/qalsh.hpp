@@ -35,7 +35,7 @@
 //  - a per-caller QueryScratch (projections, per-line cursors, a
 //    stamp-reset collision-frequency table, candidate and distance buffers,
 //    a k-element distance heap) makes steady-state queries perform zero
-//    heap allocations via query_into()/query_batch_into().
+//    heap allocations.
 
 #include <cstdint>
 #include <memory>
@@ -63,8 +63,8 @@ struct QalshParams {
   float beta = 0.01f;
   /// Initial search radius of the virtual rehashing schedule R = r0 * c^j.
   /// Features here are unit-normalized, so the default starts well below
-  /// typical intra-class distances; observe_query_feedback() adapts the
-  /// starting radius toward the observed k-th-neighbour distance.
+  /// typical intra-class distances; observe_queries() adapts the starting
+  /// radius toward the observed k-th-neighbour distance.
   float r0 = 0.125f;
   std::uint64_t seed = 42;  ///< projection seed
   /// Opt-in SQ8 candidate scan: identical discipline to the LSH family
@@ -80,10 +80,11 @@ struct QalshParams {
 ///    is read-only: any number of threads may run it concurrently against
 ///    each other. All per-query state — cursors, collision frequencies,
 ///    candidates, the distance heap — lives in the caller's scratch.
-///  - query()/query_into() use the index-owned scratch and record metrics:
-///    one caller at a time.
-///  - insert()/remove()/observe_query_feedback()/attach_metrics() mutate
-///    lines, arenas, or the radius controller: exclusive access required.
+///  - query()/query_into() use the index-owned scratch: one caller at a
+///    time.
+///  - insert()/remove()/observe_queries()/attach_metrics() mutate lines,
+///    arenas, instruments or the radius controller: exclusive access
+///    required.
 /// The cache layer (ApproxCache) enforces this with its reader-writer lock.
 class QalshIndex final : public NnIndex {
  public:
@@ -119,45 +120,36 @@ class QalshIndex final : public NnIndex {
 
   QalshIndex(std::size_t dim, const QalshParams& params);
 
-  /// Adds a vector under `id`. Throws std::invalid_argument on a duplicate
-  /// id or non-finite values (a NaN projection would poison the sorted
-  /// line order for every future query).
+  /// Adds a vector under `id`. Throws std::invalid_argument when `v` is
+  /// not dim() long, on a duplicate id or on non-finite values (a NaN
+  /// projection would poison the sorted line order for every future query).
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-  std::vector<Neighbor> query(std::span<const float> q,
-                              std::size_t k) const override;
-
-  /// Allocation-free query path (index-owned scratch): clears and fills
-  /// `out` with up to `k` nearest stored vectors, closest first, and fills
-  /// `stats` (optional) with candidates / re-rank survivors / rehash
-  /// rounds. Records the "ann/candidates" and "ann/qalsh/*" instruments
-  /// when metrics are attached.
-  void query_into(std::span<const float> q, std::size_t k,
-                  std::vector<Neighbor>& out,
-                  QueryStats* stats = nullptr) const override;
 
   /// One QueryScratch per querying thread (see class comment).
   std::unique_ptr<IndexScratch> make_scratch() const override;
 
   /// Read-only batched query (see NnIndex::query_batch_into). Projects the
   /// whole batch first — the m x dim projection matrix stays hot across
-  /// frames — then sweeps per query with byte-identical results to
-  /// query_into. Requires a scratch obtained from make_scratch(); throws
-  /// std::invalid_argument otherwise.
+  /// frames — then sweeps per query, so a query's result does not depend on
+  /// its batch. Fills each QueryStats with candidates, re-rank survivors,
+  /// rehash rounds, collisions and the stop reason. Requires a scratch
+  /// obtained from make_scratch(); throws std::invalid_argument otherwise.
   void query_batch_into(std::span<const float> queries, std::size_t count,
                         std::size_t k, IndexScratch* scratch,
                         std::span<std::vector<Neighbor>> results,
                         QueryStats* stats = nullptr) const override;
 
-  /// Radius controller feed (exclusive access): EMAs the farthest returned
-  /// distances of recent queries and starts future virtual-rehash
+  /// The fold-time hook (exclusive access): records each query's
+  /// "ann/candidates", "ann/rerank_survivors" (quantized) and "ann/qalsh/*"
+  /// samples when metrics are attached, then feeds the radius controller:
+  /// EMAs the farthest returned distances and starts future virtual-rehash
   /// schedules one expansion below that estimate, skipping rounds that
   /// cannot terminate. Skipping ahead counts exactly the collisions the
   /// skipped rounds would have (the per-line windows partition the
   /// projection axis), so recall is unaffected — only wasted early rounds
   /// are removed.
-  void observe_query_feedback(std::span<const float> dk_samples,
-                              std::size_t query_count) override;
+  void observe_queries(std::span<const QueryStats> stats) override;
 
   /// Lossy SQ8 reconstruction of `id`'s stored vector; empty when `id` is
   /// absent or the scan is not quantized.
@@ -178,7 +170,7 @@ class QalshIndex final : public NnIndex {
   bool quantized() const noexcept { return params_.quantize.enabled; }
 
   /// Current starting radius of the virtual-rehash schedule (params().r0
-  /// until observe_query_feedback() has adapted it).
+  /// until observe_queries() has adapted it).
   float start_radius() const noexcept { return start_radius_; }
 
   /// Bulk-load hook: merges every line's pending insert tail into its
@@ -211,16 +203,6 @@ class QalshIndex final : public NnIndex {
     QueryScratch sc;
   };
 
-  /// Why a sweep stopped (the frontier counters).
-  enum class Stop : std::uint8_t { kC1, kC2, kExhausted };
-
-  /// Per-sweep accounting beyond QueryStats.
-  struct SweepOutcome {
-    std::size_t rounds = 0;
-    std::size_t touched = 0;  ///< line entries collision-counted
-    Stop stop = Stop::kExhausted;
-  };
-
   std::span<const float> slot_vec(Slot slot) const noexcept {
     return {arena_.data() + static_cast<std::size_t>(slot) * dim_, dim_};
   }
@@ -239,9 +221,11 @@ class QalshIndex final : public NnIndex {
   /// virtual-rehash schedule, collision-counts entries, promotes frequent
   /// slots to candidates and scores them per round (float gather or ADC),
   /// until C1 (k-th candidate within c*R), C2 (k + beta*n candidates) or
-  /// exhaustion. Read-only with respect to the index.
-  SweepOutcome collect(QueryScratch& sc, const float* proj_q,
-                       std::span<const float> q, std::size_t k) const;
+  /// exhaustion; fills st's rounds, collisions and stop reason. Read-only
+  /// with respect to the index.
+  void collect(QueryScratch& sc, const float* proj_q,
+               std::span<const float> q, std::size_t k,
+               QueryStats& st) const;
   /// Scores candidates [from, candidates.size()) and feeds the k-heap.
   void score_from(QueryScratch& sc, std::span<const float> q,
                   std::size_t from, std::size_t k) const;
@@ -249,16 +233,15 @@ class QalshIndex final : public NnIndex {
   /// quantized), filling st's survivor count.
   void finalize(QueryScratch& sc, std::span<const float> q, std::size_t k,
                 std::vector<Neighbor>& out, QueryStats& st) const;
-  /// query_into/query_batch_into shared core for one query.
+  /// One query of a batch: sweep, then rank.
   void query_one(QueryScratch& sc, const float* proj_q,
                  std::span<const float> q, std::size_t k,
-                 std::vector<Neighbor>& out, QueryStats& st,
-                 SweepOutcome& sweep) const;
+                 std::vector<Neighbor>& out, QueryStats& st) const;
 
   std::size_t dim_;
   QalshParams params_;
   Scheme scheme_;
-  float start_radius_ = 0.0f;  ///< retuned by observe_query_feedback()
+  float start_radius_ = 0.0f;  ///< retuned by observe_queries()
 
   std::vector<float> proj_;      ///< m x dim row-major projection matrix
   std::vector<HashLine> lines_;  ///< m sorted projection lines
@@ -280,9 +263,9 @@ class QalshIndex final : public NnIndex {
   /// Recomputes start_radius_ from the EMA.
   void retune_start_radius();
 
-  // Radius controller. Fed ONLY through observe_query_feedback() (an
-  // exclusive-access call): the query paths never touch it, so batched and
-  // single queries always run the same schedule and stay byte-identical.
+  // Radius controller. Fed only through observe_queries() (an
+  // exclusive-access call): the query path never touches it, so every
+  // query between two folds runs the same schedule.
   static constexpr double kEmaAlpha = 0.1;
   double dk_ema_ = 0.0;
   bool has_ema_ = false;
@@ -290,9 +273,10 @@ class QalshIndex final : public NnIndex {
   std::size_t merges_ = 0;
   std::size_t compactions_ = 0;
 
-  // Legacy single-query path only: the index-owned scratch. The batched
-  // path never touches it, which is what makes that path read-only.
-  mutable QueryScratch scratch_;
+  // insert()'s projection buffer (m floats). The query path never touches
+  // it (its scratch is caller-owned), which is what makes that path
+  // read-only.
+  std::vector<float> insert_proj_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t candidates_hist_ = 0;
   std::uint32_t rerank_hist_ = 0;

@@ -25,6 +25,9 @@ ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
   if (dim == 0 || config.capacity == 0 || eviction_ == nullptr) {
     throw std::invalid_argument("ApproxCache: bad configuration");
   }
+  scratch_.index_scratch_ = index_->make_scratch();
+  scratch_.results_.resize(1);
+  scratch_.stats_.resize(1);
 }
 
 SimDuration ApproxCache::simulated_latency(
@@ -45,10 +48,9 @@ SimDuration ApproxCache::simulated_latency(
 }
 
 HknnParams ApproxCache::effective_params(
-    float threshold_scale, std::size_t k_override) const noexcept {
+    float threshold_scale) const noexcept {
   HknnParams params = config_.hknn;
   params.max_distance *= threshold_scale;
-  if (k_override != 0) params.k = k_override;
   return params;
 }
 
@@ -62,54 +64,16 @@ CacheResult ApproxCache::lookup(const CacheQuery& q) {
   }
   std::unique_lock lock(mu_);
   CacheResult result;
-  const std::size_t k = q.k_override != 0 ? q.k_override : config_.hknn.k;
-  QueryStats st;
-  index_->query_into(q.features, k, neighbor_scratch_, &st);
-  const std::vector<Neighbor>& neighbors = neighbor_scratch_;
-
-  result.candidates = st.candidates;
-  result.latency = simulated_latency(st.candidates, st.rerank_survivors);
-
-  const float nearest =
-      neighbors.empty() ? -1.0f : neighbors.front().distance;
-  if (q.trace != nullptr) {
-    q.trace->annotate_lookup(static_cast<std::uint32_t>(st.candidates),
-                             nearest);
-    if (quantized_scan_) {
-      q.trace->annotate_rerank(
-          static_cast<std::uint32_t>(st.rerank_survivors));
-    }
-    if (st.rounds > 0) {
-      q.trace->annotate_rounds(static_cast<std::uint32_t>(st.rounds));
-    }
-  }
+  answer(q, {&result, 1}, scratch_);
   if (metrics_ != nullptr) {
     metrics_->record(lookup_us_hist_, static_cast<double>(result.latency));
-    if (nearest >= 0.0f) {
+    const std::vector<Neighbor>& neighbors = scratch_.results_[0];
+    if (!neighbors.empty()) {
       metrics_->record(nearest_distance_hist_,
-                       static_cast<double>(nearest));
+                       static_cast<double>(neighbors.front().distance));
     }
   }
-
-  result.vote = hknn_vote(neighbors, label_of_,
-                          effective_params(q.threshold_scale, q.k_override));
-
-  if (result.vote.has_value()) {
-    counters_.inc("hit");
-    // Touch every voter so eviction sees their usefulness.
-    std::size_t touched = 0;
-    for (const Neighbor& n : neighbors) {
-      if (touched >= result.vote->voters) break;
-      auto it = entries_.find(n.id);
-      if (it != entries_.end()) {
-        it->second.last_access = q.now;
-        ++it->second.access_count;
-      }
-      ++touched;
-    }
-  } else {
-    counters_.inc("miss");
-  }
+  fold(scratch_);
   return result;
 }
 
@@ -121,13 +85,16 @@ void ApproxCache::lookup_batch(const CacheQuery& q,
     throw std::invalid_argument("ApproxCache::lookup_batch: bad sizes");
   }
   std::shared_lock lock(mu_);
-  const std::size_t k = q.k_override != 0 ? q.k_override : config_.hknn.k;
-  const HknnParams params =
-      effective_params(q.threshold_scale, q.k_override);
+  answer(q, results, scratch);
+}
 
+void ApproxCache::answer(const CacheQuery& q, std::span<CacheResult> results,
+                         CacheQueryScratch& scratch) const {
+  const HknnParams params = effective_params(q.threshold_scale);
   if (scratch.results_.size() < q.count) scratch.results_.resize(q.count);
   if (scratch.stats_.size() < q.count) scratch.stats_.resize(q.count);
-  index_->query_batch_into(q.features, q.count, k, scratch.index_scratch_.get(),
+  index_->query_batch_into(q.features, q.count, params.k,
+                           scratch.index_scratch_.get(),
                            {scratch.results_.data(), q.count},
                            scratch.stats_.data());
 
@@ -166,11 +133,8 @@ void ApproxCache::lookup_batch(const CacheQuery& q,
     } else {
       ++scratch.misses_;
     }
-    if (!neighbors.empty() &&
-        scratch.dk_samples_.size() < CacheQueryScratch::kMaxDkSamples) {
-      // The farthest distance this query actually needed — the A-LSH width
-      // controller's food, applied at fold time.
-      scratch.dk_samples_.push_back(neighbors.back().distance);
+    if (scratch.query_stats_.size() < CacheQueryScratch::kMaxQueryStats) {
+      scratch.query_stats_.push_back(st);
     }
     results[b] = std::move(r);
   }
@@ -185,6 +149,10 @@ CacheQueryScratch ApproxCache::make_scratch() const {
 
 void ApproxCache::fold_scratch(CacheQueryScratch& scratch) {
   std::unique_lock lock(mu_);
+  fold(scratch);
+}
+
+void ApproxCache::fold(CacheQueryScratch& scratch) {
   for (const CacheQueryScratch::Touch& t : scratch.touches_) {
     auto it = entries_.find(t.id);
     if (it != entries_.end()) {
@@ -194,12 +162,21 @@ void ApproxCache::fold_scratch(CacheQueryScratch& scratch) {
   }
   if (scratch.hits_ > 0) counters_.inc("hit", scratch.hits_);
   if (scratch.misses_ > 0) counters_.inc("miss", scratch.misses_);
-  index_->observe_query_feedback(scratch.dk_samples_, scratch.lookups_);
+  index_->observe_queries(scratch.query_stats_);
   scratch.touches_.clear();
-  scratch.dk_samples_.clear();
+  scratch.query_stats_.clear();
   scratch.lookups_ = 0;
   scratch.hits_ = 0;
   scratch.misses_ = 0;
+}
+
+const std::vector<Neighbor>& ApproxCache::probe(std::span<const float> q,
+                                                std::size_t k) const {
+  index_->query_batch_into(q, 1, k, scratch_.index_scratch_.get(),
+                           {scratch_.results_.data(), 1},
+                           scratch_.stats_.data());
+  index_->observe_queries({scratch_.stats_.data(), 1});
+  return scratch_.results_[0];
 }
 
 VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
@@ -257,10 +234,14 @@ const CacheEntry* ApproxCache::find(VecId id) const {
 
 std::optional<float> ApproxCache::nearest_distance(
     std::span<const float> q) const {
+  if (q.size() != dim_) {
+    throw std::invalid_argument(
+        "ApproxCache::nearest_distance: bad feature size");
+  }
   std::unique_lock lock(mu_);
-  index_->query_into(q, 1, neighbor_scratch_);
-  if (neighbor_scratch_.empty()) return std::nullopt;
-  return neighbor_scratch_.front().distance;
+  const std::vector<Neighbor>& nearest = probe(q, 1);
+  if (nearest.empty()) return std::nullopt;
+  return nearest.front().distance;
 }
 
 std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) const {
@@ -268,10 +249,12 @@ std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) const {
     throw std::invalid_argument(
         "ApproxCache::peek_vote: single-frame path");
   }
+  if (q.features.size() != dim_) {
+    throw std::invalid_argument("ApproxCache::peek_vote: bad feature size");
+  }
   std::unique_lock lock(mu_);
-  index_->query_into(q.features, config_.hknn.k, neighbor_scratch_);
-  return hknn_vote(neighbor_scratch_, label_of_,
-                   effective_params(q.threshold_scale, q.k_override));
+  return hknn_vote(probe(q.features, config_.hknn.k), label_of_,
+                   effective_params(q.threshold_scale));
 }
 
 void ApproxCache::for_each(

@@ -4,8 +4,17 @@
 // neighbour query followed by a homogenized-kNN vote, so "equal enough"
 // inputs reuse previous recognition results.
 //
-// Thread-safety contract (DESIGN.md §9). One instance may be shared by many
-// threads; a reader-writer lock splits the surface in two:
+// One read path (DESIGN.md §9). Every query is answered by one core: the
+// index's query_batch_into() plus the H-kNN vote, writing all per-call
+// state — results, touches, hit/miss tallies, the index's per-query
+// QueryStats — into a CacheQueryScratch. Those deferred side effects reach
+// the cache and the index only in the fold (fold_scratch()), where the
+// index hook records the ANN instruments and feeds the A-LSH width / QALSH
+// radius controllers. A single frame is a batch of one plus an immediate
+// fold.
+//
+// Thread-safety contract. One instance may be shared by many threads; a
+// reader-writer lock splits the surface in two:
 //
 //  shared path — wait-free against each other, all per-call mutable state
 //  lives in a caller-owned CacheQueryScratch (one per thread):
@@ -15,9 +24,9 @@
 //
 //  exclusive path — internally serialized, safe to call from any thread but
 //  one at a time; mutates entries, counters, index arenas, or the
-//  index-owned query scratch:
-//    lookup(), peek_vote(), nearest_distance()   (legacy/simulation path:
-//      drives the A-LSH width controller and the index-owned scratch)
+//  cache-owned scratch:
+//    lookup(), peek_vote(), nearest_distance()   (a batch of one on the
+//      cache-owned scratch, folded at once under the same lock)
 //    insert(), remove(), clear(), fold_scratch()
 //    attach_metrics()  (call before any concurrent use; the registry itself
 //      is not thread-safe, so metrics recording stays on exclusive paths)
@@ -77,8 +86,6 @@ struct CacheQuery {
   /// motion gate uses (stationary devices accept slightly farther matches,
   /// §5.4).
   float threshold_scale = 1.0f;
-  /// When non-zero, overrides HknnParams::k for this call.
-  std::size_t k_override = 0;
   /// When set (single-frame requests), the open span of this trace is
   /// annotated with the candidate count and nearest-neighbour distance.
   FrameTrace* trace = nullptr;
@@ -93,15 +100,16 @@ struct CacheResult {
 
 /// Per-thread working set for lookup_batch(): the index scratch, neighbour
 /// buffers, and the side effects a read-only lookup must defer — entry
-/// touches, hit/miss tallies, A-LSH width-controller samples. Obtain one
+/// touches, hit/miss tallies, the index's per-query QueryStats. Obtain one
 /// per querying thread from ApproxCache::make_scratch(); hand it back
 /// periodically via ApproxCache::fold_scratch() so eviction recency,
-/// counters, and index adaptation catch up with the read traffic. Buffers
-/// grow to their high-water mark and are reused, so steady-state batched
-/// lookups perform zero heap allocations. The deferred-side-effect buffers
-/// are bounded (kMaxTouches/kMaxDkSamples): between folds, overflowing
-/// touches and d_k samples are dropped — both feed heuristics (eviction
-/// recency, width adaptation), not correctness.
+/// counters, ANN instruments and index adaptation catch up with the read
+/// traffic. Buffers grow to their high-water mark and are reused, so
+/// steady-state batched lookups perform zero heap allocations. The
+/// deferred-side-effect buffers are bounded (kMaxTouches/kMaxQueryStats):
+/// between folds, overflowing touches and query stats are dropped — they
+/// feed heuristics (eviction recency, instruments, index adaptation), not
+/// correctness.
 class CacheQueryScratch {
  public:
   CacheQueryScratch() = default;
@@ -115,7 +123,7 @@ class CacheQueryScratch {
   friend class ApproxCache;
 
   static constexpr std::size_t kMaxTouches = 4096;
-  static constexpr std::size_t kMaxDkSamples = 1024;
+  static constexpr std::size_t kMaxQueryStats = 1024;
 
   struct Touch {
     VecId id = 0;
@@ -126,7 +134,7 @@ class CacheQueryScratch {
   std::vector<std::vector<Neighbor>> results_;  // per-frame neighbour lists
   std::vector<QueryStats> stats_;               // per-frame work accounting
   std::vector<Touch> touches_;                  // deferred voter touches
-  std::vector<float> dk_samples_;               // deferred A-LSH feedback
+  std::vector<QueryStats> query_stats_;         // deferred index feedback
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
@@ -135,7 +143,7 @@ class CacheQueryScratch {
 /// Approximate cache mapping feature vectors to recognition labels.
 ///
 /// Shareable across threads — see the thread-safety contract in the file
-/// comment. The legacy simulation remains single-threaded per device; its
+/// comment. The simulation stays single-threaded per device; its
 /// uncontended lock acquisitions cost nanoseconds against sub-millisecond
 /// lookups.
 class ApproxCache {
@@ -143,23 +151,26 @@ class ApproxCache {
   ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
               std::unique_ptr<EvictionPolicy> eviction);
 
-  /// Looks up the single frame in `q`. Accessed entries are touched, hit/
-  /// miss counters updated, and the A-LSH width controller fed — the
-  /// exclusive path. Steady-state calls perform zero heap allocations
-  /// (neighbour scratch and index scratch are reused). Throws
-  /// std::invalid_argument when q.count != 1 or q.features is not dim()
-  /// long.
+  /// Looks up the single frame in `q`: a batch of one on the cache-owned
+  /// scratch, folded at once under one exclusive lock acquisition — so
+  /// exactly lookup_batch(count = 1) followed by fold_scratch(). Accessed
+  /// entries are touched, hit/miss counters updated, the ANN instruments
+  /// recorded and the index controllers fed; additionally records
+  /// "cache/lookup_us" and "cache/nearest_distance". Steady-state calls
+  /// perform zero heap allocations. Throws std::invalid_argument when
+  /// q.count != 1 or q.features is not dim() long.
   CacheResult lookup(const CacheQuery& q);
 
   /// Answers the `q.count` frames packed in `q.features` into
   /// `results[0..count)`, amortizing hashing and candidate scoring across
   /// the batch. This is the *shared* path: any number of threads may call
   /// it concurrently, each with its own `scratch` from make_scratch().
-  /// Touches, hit/miss tallies, and width-controller feedback are deferred
-  /// into the scratch (bounded; see CacheQueryScratch) until the caller
-  /// folds them back with fold_scratch(); per-lookup metrics histograms are
-  /// not recorded on this path. q.trace is honoured for single-frame
-  /// batches (the trace object is caller-owned thread-local state).
+  /// Touches, hit/miss tallies, and the index's per-query stats are
+  /// deferred into the scratch (bounded; see CacheQueryScratch) until the
+  /// caller folds them back with fold_scratch(); the cache's own lookup
+  /// histograms are not recorded on this path. q.trace is honoured for
+  /// single-frame batches (the trace object is caller-owned thread-local
+  /// state).
   void lookup_batch(const CacheQuery& q, std::span<CacheResult> results,
                     CacheQueryScratch& scratch) const;
 
@@ -168,9 +179,11 @@ class ApproxCache {
   CacheQueryScratch make_scratch() const;
 
   /// Applies a scratch's deferred side effects under the write lock: entry
-  /// touches (eviction recency), hit/miss counters, and the A-LSH width
-  /// controller feed (which may trigger a rebuild). Clears the scratch's
-  /// pending state; the scratch remains usable for further batches.
+  /// touches (eviction recency), hit/miss counters, and the index hook
+  /// (NnIndex::observe_queries: ANN instruments plus the A-LSH width /
+  /// QALSH radius controller feed, which may trigger a rebuild). Clears the
+  /// scratch's pending state; the scratch remains usable for further
+  /// batches.
   void fold_scratch(CacheQueryScratch& scratch);
 
   /// Inserts a new entry, evicting first when full. Returns the new id.
@@ -193,16 +206,22 @@ class ApproxCache {
   const CacheEntry* find(VecId id) const;
 
   /// Distance from `q` to its nearest cached neighbour via the index
-  /// (nullopt when empty) — used by the P2P layer to dedupe merges.
-  /// Exclusive path (index-owned scratch, A-LSH controller feed).
+  /// (nullopt when empty) — used by the P2P layer to dedupe merges. A
+  /// batch of one (k = 1) on the cache-owned scratch; of the fold it
+  /// applies only the index hook, like peek_vote(). Throws
+  /// std::invalid_argument when `q` is not dim() long.
   std::optional<float> nearest_distance(std::span<const float> q) const;
 
-  /// Hypothetical vote with NO observable side effects: no counter updates,
-  /// no entry touches, no metrics. Used by the adaptive threshold
-  /// controller to ask "would the cache have answered, and what?" on frames
-  /// where the DNN ran anyway. Exclusive path: it shares the index-owned
-  /// query scratch and feeds the A-LSH width controller. Only q.features
-  /// (single frame), q.threshold_scale and q.k_override participate.
+  /// Hypothetical vote: "would the cache have answered, and what?" — asked
+  /// by the adaptive threshold controller on frames where the DNN ran
+  /// anyway, and by edge admission. A batch of one on the cache-owned
+  /// scratch. It changes no hit/miss counter, touches no entry and records
+  /// no "cache/*" histogram, but it does apply the fold's index hook: one
+  /// "ann/candidates" sample (plus the backend's other ANN instruments) and
+  /// one controller sample, which may rebuild A-LSH tables. Only q.features
+  /// (single frame) and q.threshold_scale participate. Throws
+  /// std::invalid_argument when q.count != 1 or q.features is not dim()
+  /// long.
   std::optional<HknnVote> peek_vote(const CacheQuery& q) const;
 
   /// Calls `fn` for every entry (unspecified order). `fn` must not call
@@ -249,9 +268,18 @@ class ApproxCache {
   /// (quantized scan: on codes, plus `survivors` exact re-ranks).
   SimDuration simulated_latency(std::size_t candidates,
                                 std::size_t survivors) const noexcept;
-  /// Shared vote logic: H-kNN params for this request.
-  HknnParams effective_params(float threshold_scale,
-                              std::size_t k_override) const noexcept;
+  /// H-kNN params for a request with this threshold scale.
+  HknnParams effective_params(float threshold_scale) const noexcept;
+  /// The one read core, under mu_ (shared or exclusive): answers q's
+  /// frames into `results` and defers every side effect into `scratch`.
+  void answer(const CacheQuery& q, std::span<CacheResult> results,
+              CacheQueryScratch& scratch) const;
+  /// Applies and clears `scratch`'s deferred side effects; mu_ exclusive.
+  void fold(CacheQueryScratch& scratch);
+  /// A batch of one (`k` neighbours of `q`) on scratch_, followed by the
+  /// index hook only; mu_ exclusive. Returns scratch_'s result list.
+  const std::vector<Neighbor>& probe(std::span<const float> q,
+                                     std::size_t k) const;
 
   std::size_t dim_;
   ApproxCacheConfig config_;
@@ -264,7 +292,8 @@ class ApproxCache {
   /// Constructed once (single this-pointer capture fits std::function's
   /// small-buffer storage) so votes never rebuild a closure per lookup.
   std::function<Label(VecId)> label_of_;
-  mutable std::vector<Neighbor> neighbor_scratch_;
+  /// The exclusive calls' scratch (lookup, peek_vote, nearest_distance).
+  mutable CacheQueryScratch scratch_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t lookup_us_hist_ = 0;
   std::uint32_t nearest_distance_hist_ = 0;

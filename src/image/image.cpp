@@ -1,7 +1,6 @@
 #include "src/image/image.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -67,8 +66,10 @@ Image Image::resized(int new_width, int new_height) const {
 }
 
 float Image::mean_abs_diff(const Image& other) const {
-  assert(width_ == other.width_ && height_ == other.height_ &&
-         channels_ == other.channels_);
+  if (width_ != other.width_ || height_ != other.height_ ||
+      channels_ != other.channels_) {
+    throw std::invalid_argument("Image::mean_abs_diff: shape mismatch");
+  }
   if (data_.empty()) return 0.0f;
   float sum = 0.0f;
   for (std::size_t i = 0; i < data_.size(); ++i) {

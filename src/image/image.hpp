@@ -49,6 +49,7 @@ class Image {
 
   /// Mean absolute per-sample difference against an image of identical
   /// shape — the frame-differencing primitive used by the video module.
+  /// Throws std::invalid_argument when the shapes differ.
   float mean_abs_diff(const Image& other) const;
 
   /// Mean sample value.

@@ -5,11 +5,15 @@
 
 #include <limits>
 #include <memory>
+#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "src/ann/adaptive_lsh.hpp"
 #include "src/ann/exact_knn.hpp"
 #include "src/ann/hknn.hpp"
 #include "src/ann/lsh.hpp"
+#include "src/ann/qalsh.hpp"
 #include "src/ann/quantize.hpp"
 #include "src/util/rng.hpp"
 
@@ -21,6 +25,17 @@ FeatureVec random_unit(Rng& rng, std::size_t dim) {
   for (float& x : v) x = static_cast<float>(rng.normal());
   normalize(v);
   return v;
+}
+
+// A single cache lookup's index traffic: a batch of one, then the fold-time
+// hook at once (instruments + controller feed).
+std::vector<Neighbor> query_and_fold(NnIndex& index, std::span<const float> q,
+                                     std::size_t k) {
+  std::vector<Neighbor> out;
+  QueryStats st;
+  index.query_into(q, k, out, &st);
+  index.observe_queries({&st, 1});
+  return out;
 }
 
 // -------------------------------------------------------------- ExactKnn
@@ -67,6 +82,43 @@ TEST(ExactKnn, RemoveDeletes) {
   EXPECT_TRUE(index.query(std::vector<float>{1.0f}, 1).empty());
 }
 
+// These checks throw in every build type: the tier-1 build defines NDEBUG,
+// so an assert here would prove nothing.
+TEST(ExactKnn, BadInputThrows) {
+  EXPECT_THROW(ExactKnnIndex{0}, std::invalid_argument);
+  ExactKnnIndex index{2};
+  EXPECT_THROW(index.insert(1, FeatureVec{1.0f}), std::invalid_argument);
+  EXPECT_THROW(index.insert(1, FeatureVec{1.0f, 0.0f, 0.0f}),
+               std::invalid_argument);
+  index.insert(1, FeatureVec{1.0f, 0.0f});
+  // A duplicate id must not silently keep the old vector.
+  EXPECT_THROW(index.insert(1, FeatureVec{0.0f, 1.0f}),
+               std::invalid_argument);
+  const auto result = index.query(std::vector<float>{1.0f, 0.0f}, 1);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_FLOAT_EQ(result[0].distance, 0.0f);
+}
+
+TEST(NnIndexQuery, WrongQuerySizeThrowsForEveryBackend) {
+  std::vector<std::unique_ptr<NnIndex>> indexes;
+  indexes.push_back(std::make_unique<ExactKnnIndex>(4));
+  indexes.push_back(std::make_unique<PStableLshIndex>(4, LshParams{}));
+  indexes.push_back(
+      std::make_unique<AdaptiveLshIndex>(4, AdaptiveLshParams{}));
+  indexes.push_back(std::make_unique<QalshIndex>(4, QalshParams{}));
+  Rng rng{9};
+  for (const auto& index : indexes) {
+    const FeatureVec v = random_unit(rng, 4);
+    index->insert(1, v);
+    std::vector<Neighbor> out;
+    EXPECT_THROW(index->query_into(FeatureVec(3, 0.0f), 1, out),
+                 std::invalid_argument);
+    EXPECT_THROW((void)index->query(FeatureVec(5, 0.0f), 1),
+                 std::invalid_argument);
+    EXPECT_EQ(index->query(v, 1).size(), 1u);
+  }
+}
+
 TEST(ExactKnn, EqualDistancesTieBreakById) {
   ExactKnnIndex index{1};
   index.insert(5, {1.0f});
@@ -105,6 +157,20 @@ TEST(Lsh, ExactDuplicateAlwaysFound) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 42u);
   EXPECT_FLOAT_EQ(result[0].distance, 0.0f);
+}
+
+TEST(Lsh, WrongSizeInsertThrowsAndLeavesIndexIntact) {
+  PStableLshIndex index{8, default_lsh()};
+  Rng rng{16};
+  // A longer vector would otherwise be copied past its arena row.
+  EXPECT_THROW(index.insert(1, random_unit(rng, 9)), std::invalid_argument);
+  EXPECT_THROW(index.insert(1, random_unit(rng, 7)), std::invalid_argument);
+  EXPECT_EQ(index.size(), 0u);
+  const FeatureVec v = random_unit(rng, 8);
+  index.insert(1, v);
+  const auto result = index.query(v, 1);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].id, 1u);
 }
 
 TEST(Lsh, DuplicateIdInsertThrowsAndLeavesIndexIntact) {
@@ -316,7 +382,7 @@ TEST(AdaptiveLsh, NoAdaptationWhenSmall) {
   AdaptiveLshIndex index{8, default_alsh()};
   Rng rng{1};
   for (VecId id = 0; id < 4; ++id) index.insert(id, random_unit(rng, 8));
-  for (int i = 0; i < 50; ++i) index.query(random_unit(rng, 8), 2);
+  for (int i = 0; i < 50; ++i) query_and_fold(index, random_unit(rng, 8), 2);
   EXPECT_EQ(index.rebuild_count(), 0u);
 }
 
@@ -336,7 +402,7 @@ TEST(AdaptiveLsh, AdaptsWidthTowardDataScale) {
   for (int i = 0; i < 100; ++i) {
     FeatureVec q = center;
     for (float& x : q) x += static_cast<float>(rng.normal(0.0, 0.01));
-    index.query(q, 4);
+    query_and_fold(index, q, 4);
   }
   EXPECT_GE(index.rebuild_count(), 1u);
   EXPECT_LT(index.current_width(), 0.6f);
@@ -382,7 +448,7 @@ TEST(AdaptiveLsh, CandidateCountBoundedUnderDensity) {
   Rng rng{5};
   for (VecId id = 0; id < 500; ++id) {
     index.insert(id, random_unit(rng, 8));
-    if (id % 5 == 0) index.query(random_unit(rng, 8), 4);
+    if (id % 5 == 0) query_and_fold(index, random_unit(rng, 8), 4);
   }
   // After adaptation the last candidate counts must be well below "all".
   std::vector<Neighbor> out;
@@ -390,6 +456,25 @@ TEST(AdaptiveLsh, CandidateCountBoundedUnderDensity) {
   index.query_into(random_unit(rng, 8), 4, out, &st);
   EXPECT_GE(index.rebuild_count(), 1u);
   EXPECT_LT(st.candidates, 400u);
+}
+
+TEST(AdaptiveLsh, QueriesAloneNeverAdapt) {
+  // The query path is read-only: only observe_queries() feeds the width
+  // controller, so bare queries leave the tables as built.
+  AdaptiveLshParams params = default_alsh();
+  params.lsh.bucket_width = 10.0f;
+  params.width_factor = 1.0f;
+  AdaptiveLshIndex index{8, params};
+  Rng rng{6};
+  for (VecId id = 0; id < 100; ++id) index.insert(id, random_unit(rng, 8));
+  std::vector<QueryStats> seen(64);
+  std::vector<Neighbor> out;
+  for (QueryStats& st : seen) index.query_into(random_unit(rng, 8), 4, out, &st);
+  EXPECT_EQ(index.rebuild_count(), 0u);
+  EXPECT_EQ(index.current_width(), 10.0f);
+  index.observe_queries(seen);
+  EXPECT_EQ(index.rebuild_count(), 1u);
+  EXPECT_LT(index.current_width(), 10.0f);
 }
 
 // -------------------------------------------------------------- H-kNN

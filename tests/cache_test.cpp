@@ -5,8 +5,10 @@
 
 #include <cmath>
 
+#include "src/ann/qalsh.hpp"
 #include "src/cache/approx_cache.hpp"
 #include "src/cache/exact_cache.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 
 namespace apx {
@@ -60,6 +62,15 @@ TEST(ApproxCache, LookupRejectsWrongFeatureSize) {
   EXPECT_THROW(cache.lookup({.features = short_key, .now = 1}),
                std::invalid_argument);
   EXPECT_EQ(cache.counters().get("miss"), 0u);
+}
+
+TEST(ApproxCache, PeekAndNearestRejectWrongFeatureSize) {
+  auto cache = make_cache();
+  cache.insert(unit_at(0.0f), 5, 0.9f, 0);
+  const FeatureVec long_key(kDim + 1, 0.5f);
+  EXPECT_THROW((void)cache.peek_vote({.features = long_key}),
+               std::invalid_argument);
+  EXPECT_THROW((void)cache.nearest_distance(long_key), std::invalid_argument);
 }
 
 TEST(ApproxCache, InsertRejectsWrongFeatureSizeBeforeAnyChange) {
@@ -220,6 +231,62 @@ TEST(ApproxCache, NearestDistanceFindsClosest) {
   const auto d = cache.nearest_distance(unit_at(0.0f));
   ASSERT_TRUE(d.has_value());
   EXPECT_NEAR(*d, 0.0f, 1e-6f);
+}
+
+// Pins what peek_vote() and nearest_distance() do today: of the fold they
+// apply only the index hook — one ANN instrument sample and one controller
+// sample per call — and nothing else. Making them side-effect-free is a
+// deliberate change that must edit this test.
+TEST(ApproxCache, PeekAndNearestApplyOnlyTheIndexHook) {
+  auto cfg = small_config(IndexKind::kQalsh);
+  cfg.capacity = 64;
+  ApproxCache cache{kDim, cfg, make_lru_policy()};
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
+  for (int i = 0; i < 32; ++i) {
+    cache.insert(unit_at(0.05f * static_cast<float>(i)),
+                 static_cast<Label>(i / 8), 0.9f, i);
+  }
+  const auto* qalsh = dynamic_cast<const QalshIndex*>(&cache.index());
+  ASSERT_NE(qalsh, nullptr);
+  ASSERT_EQ(qalsh->start_radius(), cfg.qalsh.r0);
+  const auto samples = [&metrics](const char* name) {
+    const MetricsRegistry::Histogram* h = metrics.find_histogram(name);
+    return h == nullptr ? std::uint64_t{0} : h->count;
+  };
+  const auto expect_no_cache_side_effects = [&] {
+    EXPECT_EQ(cache.counters().get("hit"), 0u);
+    EXPECT_EQ(cache.counters().get("miss"), 0u);
+    EXPECT_EQ(samples("cache/lookup_us"), 0u);
+    EXPECT_EQ(samples("cache/nearest_distance"), 0u);
+    cache.for_each([](const CacheEntry& e) {
+      EXPECT_EQ(e.access_count, 0u) << "entry " << e.id;
+      EXPECT_EQ(e.last_access, e.insert_time) << "entry " << e.id;
+    });
+  };
+  const float c = cfg.qalsh.c;
+
+  // nearest_distance: k = 1, so the controller's one sample is the nearest
+  // distance itself. A fresh EMA takes its first sample verbatim.
+  const FeatureVec q1 = unit_at(0.42f);
+  const auto nearest = cache.nearest_distance(q1);
+  ASSERT_TRUE(nearest.has_value());
+  EXPECT_EQ(samples("ann/candidates"), 1u);
+  EXPECT_FLOAT_EQ(qalsh->start_radius(), *nearest / c);
+  expect_no_cache_side_effects();
+
+  // peek_vote: k = hknn.k; its one sample is the k-th neighbour distance,
+  // EMA'd onto the first.
+  const FeatureVec q2 = unit_at(1.07f);
+  const auto vote = cache.peek_vote({.features = q2, .now = 500});
+  ASSERT_TRUE(vote.has_value());
+  EXPECT_EQ(samples("ann/candidates"), 2u);
+  EXPECT_EQ(samples("ann/qalsh/rounds"), 2u);
+  const float kth = cache.index().query(q2, cfg.hknn.k).back().distance;
+  double ema = static_cast<double>(*nearest);
+  ema += 0.1 * (static_cast<double>(kth) - ema);
+  EXPECT_FLOAT_EQ(qalsh->start_radius(), static_cast<float>(ema) / c);
+  expect_no_cache_side_effects();
 }
 
 TEST(ApproxCache, EntriesSinceFiltersAndSorts) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/ann/adaptive_lsh.hpp"
+#include "src/ann/qalsh.hpp"
 #include "src/cache/approx_cache.hpp"
 #include "src/edge/edge_cache.hpp"
 #include "src/util/rng.hpp"
@@ -58,45 +59,99 @@ void fill_cache(ApproxCache& cache, Rng& rng, std::size_t n) {
 
 // ------------------------------------------------------ Batch == single
 
-// The batched path must agree with the sequential path wherever the
-// sequential path is side-effect-free on query results: p-stable LSH, the
-// exact scan, and QALSH (whose radius controller is fed only through
-// observe_query_feedback, never inline). (A-LSH is excluded on purpose —
-// its legacy query_into feeds the width controller, so interleaving legacy
-// queries changes the tables the next query sees.)
+struct ParityCase {
+  const char* name;
+  ApproxCacheConfig cfg;
+};
+
+std::vector<ParityCase> parity_cases() {
+  ApproxCacheConfig q8 = test_config(IndexKind::kAdaptiveLsh);
+  q8.alsh.lsh.quantize.enabled = true;
+  return {{"exact", test_config(IndexKind::kExact)},
+          {"lsh", test_config(IndexKind::kLsh)},
+          {"adaptive-lsh", test_config(IndexKind::kAdaptiveLsh)},
+          {"qalsh", test_config(IndexKind::kQalsh)},
+          {"q8", q8}};
+}
+
+// The state the fold's index hook tunes: A-LSH's bucket width, QALSH's
+// start radius (0 for the backends without a controller).
+float controller_state(const ApproxCache& cache) {
+  if (const auto* alsh =
+          dynamic_cast<const AdaptiveLshIndex*>(&cache.index())) {
+    return alsh->current_width();
+  }
+  if (const auto* qalsh = dynamic_cast<const QalshIndex*>(&cache.index())) {
+    return qalsh->start_radius();
+  }
+  return 0.0f;
+}
+
+// lookup() is a batch of one plus an immediate fold: on twin caches, one
+// driven by lookup() and one by lookup_batch(count = 1) + fold_scratch(),
+// every result, counter, entry touch and controller state must agree after
+// every query — for every backend, including the self-tuning ones whose
+// controllers the fold feeds.
 TEST(BatchParity, BatchMatchesSingleLookup) {
-  for (const IndexKind kind :
-       {IndexKind::kExact, IndexKind::kLsh, IndexKind::kQalsh}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    ApproxCache cache{kDim, test_config(kind), make_lru_policy()};
+  for (const ParityCase& c : parity_cases()) {
+    SCOPED_TRACE(c.name);
+    ApproxCache single{kDim, c.cfg, make_lru_policy()};
+    ApproxCache batched{kDim, c.cfg, make_lru_policy()};
     Rng rng{7};
-    fill_cache(cache, rng, 256);
+    std::vector<FeatureVec> stored;
+    for (std::size_t i = 0; i < 256; ++i) {
+      stored.push_back(random_unit(rng));
+      single.insert(stored.back(), static_cast<Label>(i % 16), 0.9f,
+                    static_cast<SimTime>(i));
+      batched.insert(stored.back(), static_cast<Label>(i % 16), 0.9f,
+                     static_cast<SimTime>(i));
+    }
+    const float initial_state = controller_state(single);
 
-    constexpr std::size_t kQueries = 64;
-    const std::vector<float> flat = pack_queries(rng, kQueries);
-
-    // Batched answers first: the shared path is read-only, so the
-    // sequential reference afterwards sees an identical cache.
-    CacheQueryScratch scratch = cache.make_scratch();
-    std::vector<CacheResult> batched(kQueries);
-    cache.lookup_batch({.features = flat, .count = kQueries, .now = 1000},
-                       batched, scratch);
-
+    CacheQueryScratch scratch = batched.make_scratch();
+    std::vector<CacheResult> out(1);
+    constexpr std::size_t kQueries = 96;
     for (std::size_t i = 0; i < kQueries; ++i) {
-      const std::span<const float> q{flat.data() + i * kDim, kDim};
-      const CacheResult single = cache.lookup({.features = q, .now = 1000});
-      ASSERT_EQ(batched[i].vote.has_value(), single.vote.has_value())
-          << "query " << i;
-      if (single.vote.has_value()) {
-        EXPECT_EQ(batched[i].vote->label, single.vote->label);
-        EXPECT_EQ(batched[i].vote->voters, single.vote->voters);
-        EXPECT_FLOAT_EQ(batched[i].vote->homogeneity,
-                        single.vote->homogeneity);
-        EXPECT_FLOAT_EQ(batched[i].vote->nearest_distance,
-                        single.vote->nearest_distance);
+      // Perturbed stored vectors (hits) interleaved with fresh ones.
+      FeatureVec q = random_unit(rng);
+      if (i % 2 == 0) {
+        q = stored[(i * 37) % stored.size()];
+        q[0] += 0.01f;
+        normalize(q);
       }
-      EXPECT_EQ(batched[i].candidates, single.candidates) << "query " << i;
-      EXPECT_EQ(batched[i].latency, single.latency) << "query " << i;
+      const SimTime now = static_cast<SimTime>(1000 + i);
+      const CacheResult a = single.lookup({.features = q, .now = now});
+      batched.lookup_batch({.features = q, .count = 1, .now = now}, out,
+                           scratch);
+      batched.fold_scratch(scratch);
+      const CacheResult& b = out[0];
+      ASSERT_EQ(a.vote.has_value(), b.vote.has_value()) << "query " << i;
+      if (a.vote.has_value()) {
+        EXPECT_EQ(a.vote->label, b.vote->label);
+        EXPECT_EQ(a.vote->voters, b.vote->voters);
+        EXPECT_EQ(a.vote->homogeneity, b.vote->homogeneity);
+        EXPECT_EQ(a.vote->nearest_distance, b.vote->nearest_distance);
+      }
+      EXPECT_EQ(a.candidates, b.candidates) << "query " << i;
+      EXPECT_EQ(a.latency, b.latency) << "query " << i;
+      ASSERT_EQ(controller_state(single), controller_state(batched))
+          << "query " << i;
+    }
+
+    EXPECT_GT(single.counters().get("hit"), 0u);
+    EXPECT_GT(single.counters().get("miss"), 0u);
+    EXPECT_EQ(single.counters().get("hit"), batched.counters().get("hit"));
+    EXPECT_EQ(single.counters().get("miss"), batched.counters().get("miss"));
+    single.for_each([&batched](const CacheEntry& e) {
+      const CacheEntry* twin = batched.find(e.id);
+      ASSERT_NE(twin, nullptr);
+      EXPECT_EQ(e.access_count, twin->access_count) << "entry " << e.id;
+      EXPECT_EQ(e.last_access, twin->last_access) << "entry " << e.id;
+    });
+    // The self-tuning backends' controllers really were fed.
+    if (dynamic_cast<const AdaptiveLshIndex*>(&single.index()) != nullptr ||
+        dynamic_cast<const QalshIndex*>(&single.index()) != nullptr) {
+      EXPECT_NE(controller_state(single), initial_state);
     }
   }
 }
@@ -268,6 +323,12 @@ TEST(ConcurrentReads, QalshManyReadersSeeIdenticalResults) {
   many_readers_see_identical_results(IndexKind::kQalsh);
 }
 
+// A-LSH's query path is read-only too: its width controller learns only at
+// fold time, under the exclusive lock.
+TEST(ConcurrentReads, AdaptiveLshManyReadersSeeIdenticalResults) {
+  many_readers_see_identical_results(IndexKind::kAdaptiveLsh);
+}
+
 // ------------------------------------------------- Readers vs writer
 
 void readers_survive_writer_churn(IndexKind kind) {
@@ -345,6 +406,12 @@ TEST(ConcurrentReadWrite, ReadersSurviveWriterChurn) {
 // reader-writer split covers all of them.
 TEST(ConcurrentReadWrite, QalshReadersSurviveWriterChurn) {
   readers_survive_writer_churn(IndexKind::kQalsh);
+}
+
+// The readers' periodic folds feed A-LSH's width controller, which may
+// rebuild every table while other readers wait on the shared lock.
+TEST(ConcurrentReadWrite, AdaptiveLshReadersSurviveWriterChurn) {
+  readers_survive_writer_churn(IndexKind::kAdaptiveLsh);
 }
 
 TEST(ConcurrentReadWrite, SharedReadSurfaceDuringBatches) {

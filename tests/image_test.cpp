@@ -95,6 +95,14 @@ TEST(Image, ResizeEmptyImageThrows) {
   EXPECT_THROW(Image{}.resized(4, 4), std::invalid_argument);
 }
 
+TEST(Image, MeanAbsDiffShapeMismatchThrows) {
+  const Image a(4, 4, 1);
+  // A smaller `other` would be read past its end, a larger one in part.
+  EXPECT_THROW((void)a.mean_abs_diff(Image(4, 3, 1)), std::invalid_argument);
+  EXPECT_THROW((void)a.mean_abs_diff(Image(4, 4, 3)), std::invalid_argument);
+  EXPECT_EQ(a.mean_abs_diff(Image(4, 4, 1)), 0.0f);
+}
+
 TEST(Image, UpscaleInterpolatesBetweenPixels) {
   Image img(2, 1, 1);
   img.at(0, 0, 0) = 0.0f;

@@ -411,8 +411,8 @@ TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
   for (auto& th : readers) th.join();
 
   EXPECT_LE(cache.size(), cfg.capacity);
-  // Writer-side legacy lookups also tally hit/miss, so the folded batched
-  // tallies are a lower bound on the total.
+  // Writer-side single-frame lookups also tally hit/miss, so the folded
+  // batched tallies are a lower bound on the total.
   EXPECT_GE(cache.counters().get("hit") + cache.counters().get("miss"),
             answered.load());
   // Still serves queries after the churn.

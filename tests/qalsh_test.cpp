@@ -20,6 +20,7 @@
 
 #include "src/ann/exact_knn.hpp"
 #include "src/ann/qalsh.hpp"
+#include "src/cache/approx_cache.hpp"
 #include "src/core/config.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/runner.hpp"
@@ -227,6 +228,9 @@ TEST(QalshMaintenance, InsertValidationAndRemoveSemantics) {
   EXPECT_THROW(index.insert(8, bad), std::invalid_argument);
   bad[3] = std::numeric_limits<float>::infinity();
   EXPECT_THROW(index.insert(8, bad), std::invalid_argument);
+  // A longer vector would otherwise be copied past its arena row.
+  EXPECT_THROW(index.insert(8, random_unit(rng, 9)), std::invalid_argument);
+  EXPECT_THROW(index.insert(8, random_unit(rng, 7)), std::invalid_argument);
   EXPECT_EQ(index.size(), 1u);  // failed inserts left no trace
   EXPECT_TRUE(index.remove(7));
   EXPECT_FALSE(index.remove(7));
@@ -345,14 +349,15 @@ TEST(QalshController, FeedbackRaisesStartRadiusAndPreservesRecall) {
   std::vector<Neighbor> out;
   QueryStats st;
   std::size_t rounds_before = 0;
-  std::vector<float> dks;
+  std::vector<QueryStats> seen;
   for (const FeatureVec& q : queries) {
     index.query_into(q, 4, out, &st);
     rounds_before += st.rounds;
-    if (!out.empty()) dks.push_back(out.back().distance);
+    EXPECT_EQ(st.farthest, out.empty() ? 0.0f : out.back().distance);
+    seen.push_back(st);
   }
 
-  index.observe_query_feedback(dks, queries.size());
+  index.observe_queries(seen);
   EXPECT_GT(index.start_radius(), p.r0);
 
   std::size_t rounds_after = 0;
@@ -373,6 +378,33 @@ TEST(QalshController, FeedbackRaisesStartRadiusAndPreservesRecall) {
   EXPECT_GE(static_cast<double>(agree) /
                 static_cast<double>(queries.size()),
             0.6);
+}
+
+// The `local(qalsh)` rung's cache feeds the radius controller on every
+// lookup (a batch of one plus an immediate fold), so the sweep stops
+// starting from r0 once real traffic has been seen.
+TEST(QalshController, LocalCacheLookupsMoveStartRadiusOffR0) {
+  constexpr std::size_t kDim = 16;
+  const PipelineConfig pipeline =
+      make_ladder_config("imu,temporal,local(qalsh),p2p,dnn");
+  ASSERT_EQ(pipeline.cache.index, IndexKind::kQalsh);
+  ApproxCache cache{kDim, pipeline.cache, make_lru_policy()};
+  const auto* qalsh = dynamic_cast<const QalshIndex*>(&cache.index());
+  ASSERT_NE(qalsh, nullptr);
+  const float r0 = pipeline.cache.qalsh.r0;
+
+  Rng rng{81};
+  for (VecId id = 0; id < 200; ++id) {
+    cache.insert(cluster_point(id % 16, kDim, rng),
+                 static_cast<Label>(id % 16), 0.9f,
+                 static_cast<SimTime>(id));
+  }
+  EXPECT_EQ(qalsh->start_radius(), r0);
+  for (std::size_t q = 0; q < 20; ++q) {
+    (void)cache.lookup({.features = cluster_point(q % 16, kDim, rng),
+                        .now = static_cast<SimTime>(1000 + q)});
+  }
+  EXPECT_NE(qalsh->start_radius(), r0);
 }
 
 // ----------------------------------------------------------- zero alloc
@@ -448,8 +480,13 @@ TEST(QalshMetrics, RegistersWholeSubsystemAndCountsStops) {
   Rng rng{7};
   for (VecId id = 0; id < 100; ++id) index.insert(id, random_unit(rng, 8));
   constexpr std::size_t kQueries = 30;
+  std::vector<Neighbor> out;
+  QueryStats st;
   for (std::size_t q = 0; q < kQueries; ++q) {
-    (void)index.query(random_unit(rng, 8), 4);
+    // A cache lookup's index traffic: a batch of one, folded at once. The
+    // instruments are recorded by the fold-time hook, not the query.
+    index.query_into(random_unit(rng, 8), 4, out, &st);
+    index.observe_queries({&st, 1});
   }
   // All-or-nothing: every instrument of the "ann/qalsh" group exists even
   // if its stop reason never fired.

@@ -11,7 +11,8 @@
 #
 # The tsan leg covers the code that can actually race: ThreadPool, the
 # parallel simulation runner, pool-backed MiniCnn batch embedding, and the
-# concurrent shared-cache suite (readers vs writer over one ApproxCache).
+# concurrent shared-cache suite (readers vs writer over one ApproxCache,
+# p-stable, A-LSH and QALSH backends).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -209,9 +210,11 @@ if [[ "${1:-}" == "sanitize" ]]; then
   ./build-tsan/tests/hotpath_test \
     --gtest_filter='ThreadPoolTest.*:ParallelRunner.*:MiniCnnParallel.*'
   # The shared-cache concurrency suite: batched readers vs writers over one
-  # ApproxCache, plus the randomized concurrent fuzz schedules (includes
-  # the EdgeConcurrent query/feed/sweep hammer on one EdgeCacheService and
-  # the QALSH reader/writer suites over its sorted lines + pending tails).
+  # ApproxCache for the p-stable, A-LSH and QALSH backends (A-LSH's fold-
+  # time rebuilds race the readers' shared lock; QALSH's sorted lines and
+  # pending tails race its writer), plus the randomized concurrent fuzz
+  # schedules and the EdgeConcurrent query/feed/sweep hammer on one
+  # EdgeCacheService.
   ./build-tsan/tests/concurrent_test
   ./build-tsan/tests/property_test \
     --gtest_filter='*ConcurrentBatchedReaders*'
