@@ -7,9 +7,7 @@
 // by real queries and periodically rebuilds the tables so that
 // w ~= width_factor * d_k, keeping both recall and candidate counts stable
 // as the cache fills up. The estimate is fed only through observe_queries()
-// — the query path itself is plain, read-only p-stable LSH.
-
-#include <memory>
+// — the query path itself is plain p-stable LSH.
 
 #include "src/ann/lsh.hpp"
 
@@ -29,13 +27,9 @@ struct AdaptiveLshParams {
   std::size_t min_size_to_adapt = 16;  ///< don't adapt a near-empty index
 };
 
-/// Self-tuning LSH index (see file comment).
-///
-/// Thread-safety: query_batch_into() with per-caller scratches is read-only
-/// and safe for concurrent callers — it queries the *current* tables and
-/// feeds nothing. The width controller learns only through
-/// observe_queries(), which (like insert/remove) requires exclusive access
-/// because it may rebuild the tables.
+/// Self-tuning LSH index (see file comment). Queries run against the
+/// current tables and feed nothing; the width controller learns only
+/// through observe_queries(), which may rebuild the tables.
 class AdaptiveLshIndex final : public NnIndex {
  public:
   AdaptiveLshIndex(std::size_t dim, const AdaptiveLshParams& params);
@@ -43,24 +37,11 @@ class AdaptiveLshIndex final : public NnIndex {
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
 
-  /// Forwards to the base index's per-caller scratch.
-  std::unique_ptr<IndexScratch> make_scratch() const override {
-    return base_.make_scratch();
-  }
-
-  /// Read-only query against the current tables (the base index's).
-  void query_batch_into(std::span<const float> queries, std::size_t count,
-                        std::size_t k, IndexScratch* scratch,
-                        std::span<std::vector<Neighbor>> results,
-                        QueryStats* stats = nullptr) const override {
-    base_.query_batch_into(queries, count, k, scratch, results, stats);
-  }
-
-  /// The controller feed (exclusive access): records the base index's
-  /// instruments, applies each query's farthest returned distance to the
-  /// d_k EMA in order, advances the query counter by stats.size(), then
-  /// runs the rebuild check once. A single query folded at once (a cache
-  /// lookup) therefore adapts after every query.
+  /// The controller feed: records the base index's instruments, applies
+  /// each query's farthest returned distance to the d_k EMA in order,
+  /// advances the query counter by stats.size(), then runs the rebuild
+  /// check once. A cache lookup feeds one query, so the index adapts after
+  /// every lookup.
   void observe_queries(std::span<const QueryStats> stats) override;
   std::size_t size() const noexcept override { return base_.size(); }
   std::size_t dim() const noexcept override { return base_.dim(); }
@@ -79,6 +60,14 @@ class AdaptiveLshIndex final : public NnIndex {
 
   /// Rebuilds performed so far.
   std::size_t rebuild_count() const noexcept { return rebuilds_; }
+
+ protected:
+  /// Queries the current tables (the base index's).
+  void query_impl(std::span<const float> q, std::size_t k,
+                  std::vector<Neighbor>& out,
+                  QueryStats* stats) const override {
+    base_.query_into(q, k, out, stats);
+  }
 
  private:
   void maybe_adapt();

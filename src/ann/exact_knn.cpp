@@ -1,7 +1,6 @@
 #include "src/ann/exact_knn.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace apx {
@@ -23,35 +22,26 @@ void ExactKnnIndex::insert(VecId id, const FeatureVec& v) {
 
 bool ExactKnnIndex::remove(VecId id) { return vectors_.erase(id) > 0; }
 
-void ExactKnnIndex::query_batch_into(std::span<const float> queries,
-                                     std::size_t count, std::size_t k,
-                                     IndexScratch* scratch,
-                                     std::span<std::vector<Neighbor>> results,
-                                     QueryStats* stats) const {
-  (void)scratch;
-  assert(queries.size() == count * dim_);
-  assert(results.size() >= count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<const float> q = queries.subspan(i * dim_, dim_);
-    std::vector<Neighbor>& out = results[i];
-    out.clear();
-    out.reserve(vectors_.size());
-    for (const auto& [id, v] : vectors_) {
-      out.push_back({id, l2(q, v)});
-    }
-    const std::size_t take = std::min(k, out.size());
-    std::partial_sort(
-        out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take),
-        out.end(), [](const Neighbor& a, const Neighbor& b) {
-          return a.distance < b.distance ||
-                 (a.distance == b.distance && a.id < b.id);
-        });
-    out.resize(take);
-    if (stats != nullptr) {
-      stats[i] = {};
-      stats[i].candidates = vectors_.size();
-      stats[i].farthest = out.empty() ? 0.0f : out.back().distance;
-    }
+void ExactKnnIndex::query_impl(std::span<const float> q, std::size_t k,
+                               std::vector<Neighbor>& out,
+                               QueryStats* stats) const {
+  out.clear();
+  out.reserve(vectors_.size());
+  for (const auto& [id, v] : vectors_) {
+    out.push_back({id, l2(q, v)});
+  }
+  const std::size_t take = std::min(k, out.size());
+  std::partial_sort(
+      out.begin(), out.begin() + static_cast<std::ptrdiff_t>(take), out.end(),
+      [](const Neighbor& a, const Neighbor& b) {
+        return a.distance < b.distance ||
+               (a.distance == b.distance && a.id < b.id);
+      });
+  out.resize(take);
+  if (stats != nullptr) {
+    *stats = {};
+    stats->candidates = vectors_.size();
+    stats->farthest = out.empty() ? 0.0f : out.back().distance;
   }
 }
 

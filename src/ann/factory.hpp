@@ -23,11 +23,9 @@ const char* to_string(IndexKind kind) noexcept;
 /// all of it; `qalsh` configures the query-aware backend; kExact uses
 /// neither. Throws std::invalid_argument on an unknown kind.
 ///
-/// Every backend returned here answers through one query path
-/// (NnIndex::query_batch_into + make_scratch): the LSH family with
-/// table-major amortized hashing, QALSH with batch projection + per-query
-/// sweeps, the exact scan with a plain scan per query — consumers never
-/// need to know which one they hold.
+/// Every backend returned here answers through NnIndex::query_into() and
+/// learns through NnIndex::observe_queries(), so consumers never need to
+/// know which one they hold.
 std::unique_ptr<NnIndex> make_index(IndexKind kind, std::size_t dim,
                                     const AdaptiveLshParams& params,
                                     const QalshParams& qalsh = QalshParams{});

@@ -17,8 +17,7 @@ void NnIndex::query_into(std::span<const float> q, std::size_t k,
   if (q.size() != dim()) {
     throw std::invalid_argument("NnIndex::query_into: query is not dim() long");
   }
-  if (own_scratch_ == nullptr) own_scratch_ = make_scratch();
-  query_batch_into(q, 1, k, own_scratch_.get(), {&out, 1}, stats);
+  query_impl(q, k, out, stats);
 }
 
 }  // namespace apx

@@ -4,13 +4,12 @@
 // AdaptiveLshIndex (the A-LSH variant the poster's lineage uses) and
 // QalshIndex. New backends register in make_index() (src/ann/factory.hpp).
 //
-// One read path: a backend answers queries only through query_batch_into()
-// (read-only, caller-owned scratch) and learns from them only through
-// observe_queries() (exclusive, fold time). query()/query_into() are a
-// batch of one on an index-owned scratch.
+// One read path: a backend answers a query only through query_into(),
+// which checks the query's size and calls the backend's one single-query
+// implementation (query_impl), and learns from queries only through
+// observe_queries().
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -29,24 +28,12 @@ struct Neighbor {
   float distance = 0.0f;
 };
 
-/// Opaque per-caller working set for query_batch_into(). Backends that keep
-/// reusable query buffers (the LSH family) return their own derived type
-/// from NnIndex::make_scratch(); one instance per querying thread makes
-/// query_batch_into() safe for concurrent callers. It grows to its
-/// high-water mark and is never shrunk, so steady-state queries allocate
-/// nothing.
-class IndexScratch {
- public:
-  virtual ~IndexScratch() = default;
-};
-
 /// Why a query's search stopped. Only QALSH's radius sweep reports one
 /// (the "ann/qalsh/*_stop" counters); the other backends leave kNone.
 enum class SweepStop : std::uint8_t { kNone, kC1, kC2, kExhausted };
 
-/// Per-query work accounting, returned by value so concurrent readers never
-/// share mutable index state. The query path fills one per query; the
-/// caller hands them back through NnIndex::observe_queries(), which records
+/// Per-query work accounting. The query path fills one per query; the
+/// caller hands it back through NnIndex::observe_queries(), which records
 /// the ANN instruments and feeds the self-tuning controllers.
 struct QueryStats {
   std::size_t candidates = 0;        ///< vectors whose distance was computed
@@ -64,8 +51,10 @@ struct QueryStats {
 ///
 /// All implementations return *exact* distances for the candidates they
 /// surface; approximation only affects which candidates are considered.
-/// Each backend has one query implementation, query_batch_into(); a single
-/// query is a batch of one.
+/// Each backend has one query implementation, query_impl().
+///
+/// Not thread-safe: queries reuse backend-owned buffers, so every call
+/// needs exclusive access. The cache layer (ApproxCache) serializes them.
 class NnIndex {
  public:
   virtual ~NnIndex() = default;
@@ -81,50 +70,21 @@ class NnIndex {
   std::vector<Neighbor> query(std::span<const float> q, std::size_t k) const;
 
   /// Clears and fills `out` with up to `k` nearest stored vectors, closest
-  /// first, and — when `stats` is non-null — fills it with this query's work
-  /// accounting. A batch of one through query_batch_into() on a scratch the
-  /// index owns, so one caller at a time; steady-state calls perform zero
-  /// heap allocations (`out`'s capacity and the scratch are reused). Like
-  /// the batch path it records no instrument and feeds no controller: hand
-  /// `stats` to observe_queries() for that. Throws std::invalid_argument
-  /// when `q` is not dim() long.
+  /// first (ties broken by id), and — when `stats` is non-null — fills it
+  /// with this query's work accounting. Steady-state calls perform zero
+  /// heap allocations (`out`'s capacity and the backend's query buffers are
+  /// reused). Records no instrument and feeds no controller: hand `stats`
+  /// to observe_queries() for that. Throws std::invalid_argument when `q`
+  /// is not dim() long.
   void query_into(std::span<const float> q, std::size_t k,
                   std::vector<Neighbor>& out,
                   QueryStats* stats = nullptr) const;
 
-  /// Creates the per-caller scratch query_batch_into() uses. Returns
-  /// nullptr for backends whose query path keeps no state (the exact scan).
-  /// Callers that query one index from many threads hold one scratch per
-  /// thread; the scratch must not outlive the index.
-  virtual std::unique_ptr<IndexScratch> make_scratch() const {
-    return nullptr;
-  }
-
-  /// The query path: `queries` holds `count` row-major dim()-sized vectors;
-  /// fills results[i] with up to `k` nearest stored vectors for query i
-  /// (closest first, ties broken by id) and, when `stats` is non-null,
-  /// stats[i] with that query's work accounting. Both spans must hold at
-  /// least `count` elements; `scratch` must come from make_scratch().
-  ///
-  /// Thread-safety contract: with a distinct scratch per caller this is a
-  /// *read-only* operation — no metrics recording, no controller feedback —
-  /// so any number of threads may run it concurrently against each other
-  /// (but not against insert/remove/observe_queries, which require
-  /// exclusive access; the cache layer provides that discipline). Backends
-  /// amortize per-batch work here (the LSH family hashes table-major so
-  /// each projection matrix stays hot across the whole batch).
-  virtual void query_batch_into(std::span<const float> queries,
-                                std::size_t count, std::size_t k,
-                                IndexScratch* scratch,
-                                std::span<std::vector<Neighbor>> results,
-                                QueryStats* stats = nullptr) const = 0;
-
-  /// The fold-time hook, under the caller's exclusive access: `stats` are
-  /// the QueryStats of queries answered since the last call, in order.
-  /// Backends record their per-query instruments ("ann/candidates",
-  /// "ann/rerank_survivors", "ann/qalsh/*") and feed their controllers
-  /// (A-LSH's width, QALSH's start radius) here, never on the query path.
-  /// Default: nothing to record, nothing to tune.
+  /// The learning hook: `stats` are the QueryStats of queries answered
+  /// since the last call, in order. Backends record their per-query
+  /// instruments ("ann/candidates", "ann/rerank_survivors", "ann/qalsh/*")
+  /// and feed their controllers (A-LSH's width, QALSH's start radius) here,
+  /// never on the query path. Default: nothing to record, nothing to tune.
   virtual void observe_queries(std::span<const QueryStats> stats) {
     (void)stats;
   }
@@ -148,9 +108,13 @@ class NnIndex {
   /// Vector dimensionality the index was built for.
   virtual std::size_t dim() const noexcept = 0;
 
- private:
-  /// query_into()'s batch-of-one scratch, created on first use.
-  mutable std::unique_ptr<IndexScratch> own_scratch_;
+ protected:
+  /// The backend's query: `q` is dim() long (query_into() checked it).
+  /// Same contract as query_into(); `stats`, when non-null, is overwritten
+  /// whole.
+  virtual void query_impl(std::span<const float> q, std::size_t k,
+                          std::vector<Neighbor>& out,
+                          QueryStats* stats) const = 0;
 };
 
 }  // namespace apx

@@ -1,7 +1,6 @@
 #include "src/ann/lsh.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,21 +28,11 @@ PStableLshIndex::PStableLshIndex(std::size_t dim, const LshParams& params)
           static_cast<float>(rng.uniform(0.0, params.bucket_width));
     }
   }
-  prepare_scratch(insert_scratch_);
-}
-
-void PStableLshIndex::prepare_scratch(QueryScratch& sc) const {
-  sc.projected.resize(params_.hashes_per_table);
-  sc.coords.resize(params_.hashes_per_table);
-  sc.fractions.resize(params_.hashes_per_table);
-  sc.order.resize(params_.hashes_per_table);
-  sc.keys.resize(keys_per_query());
-}
-
-std::unique_ptr<IndexScratch> PStableLshIndex::make_scratch() const {
-  auto handle = std::make_unique<ScratchHandle>();
-  prepare_scratch(handle->sc);
-  return handle;
+  scratch_.projected.resize(params.hashes_per_table);
+  scratch_.coords.resize(params.hashes_per_table);
+  scratch_.fractions.resize(params.hashes_per_table);
+  scratch_.order.resize(params.hashes_per_table);
+  scratch_.keys.resize(tables_.size() * (1 + probes()));
 }
 
 namespace {
@@ -71,10 +60,10 @@ inline std::uint64_t hash_coords(std::span<const std::int64_t> coords) noexcept 
 
 }  // namespace
 
-std::uint64_t PStableLshIndex::compute_coords(QueryScratch& sc,
-                                              const Table& table,
+std::uint64_t PStableLshIndex::compute_coords(const Table& table,
                                               std::span<const float> v,
                                               bool want_fractions) const {
+  QueryScratch& sc = scratch_;
   const std::size_t k = params_.hashes_per_table;
   // One matrix-vector pass over the table's contiguous projection rows.
   dot_batch(v, table.projections.data(), k, sc.projected.data());
@@ -92,8 +81,7 @@ void PStableLshIndex::link_slot(Slot slot) {
   const std::span<const float> v = slot_vec(slot);
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     const std::uint64_t key =
-        compute_coords(insert_scratch_, tables_[t], v,
-                       /*want_fractions=*/false);
+        compute_coords(tables_[t], v, /*want_fractions=*/false);
     tables_[t].buckets[key].push_back(slot);
     slot_keys_[static_cast<std::size_t>(slot) * tables_.size() + t] = key;
   }
@@ -174,11 +162,11 @@ bool PStableLshIndex::remove(VecId id) {
   return true;
 }
 
-void PStableLshIndex::hash_query(QueryScratch& sc, const Table& table,
-                                 std::span<const float> q,
+void PStableLshIndex::hash_query(const Table& table, std::span<const float> q,
                                  std::uint64_t* keys) const {
+  QueryScratch& sc = scratch_;
   const std::size_t p = probes();
-  keys[0] = compute_coords(sc, table, q, /*want_fractions=*/p > 0);
+  keys[0] = compute_coords(table, q, /*want_fractions=*/p > 0);
   if (p == 0) return;
   // Query-directed multiprobe: flip the coordinates whose projections sit
   // closest to a quantization boundary, one at a time, toward that boundary.
@@ -200,10 +188,10 @@ void PStableLshIndex::hash_query(QueryScratch& sc, const Table& table,
   }
 }
 
-void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
-                                   std::size_t k, const std::uint64_t* keys,
+void PStableLshIndex::gather_score(std::span<const float> q, std::size_t k,
                                    std::vector<Neighbor>& out,
                                    QueryStats& st) const {
+  QueryScratch& sc = scratch_;
   out.clear();
 
   // Generation-stamped seen mask over arena slots: dedup is O(candidates)
@@ -223,7 +211,7 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     const auto& buckets = tables_[t].buckets;
     for (std::size_t j = 0; j < per_table; ++j) {
-      const auto it = buckets.find(keys[t * per_table + j]);
+      const auto it = buckets.find(sc.keys[t * per_table + j]);
       if (it == buckets.end()) continue;
       for (const Slot slot : it->second) {
         if (sc.seen[slot] != gen) {
@@ -239,7 +227,7 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   if (sc.candidates.empty()) return;
 
   if (quantized()) {
-    score_quantized(sc, q, k, out, st);
+    score_quantized(q, k, out, st);
     return;
   }
 
@@ -264,43 +252,17 @@ void PStableLshIndex::gather_score(QueryScratch& sc, std::span<const float> q,
   out.resize(take);
 }
 
-void PStableLshIndex::query_batch_into(std::span<const float> queries,
-                                       std::size_t count, std::size_t k,
-                                       IndexScratch* scratch,
-                                       std::span<std::vector<Neighbor>> results,
-                                       QueryStats* stats) const {
-  auto* handle = dynamic_cast<ScratchHandle*>(scratch);
-  if (handle == nullptr) {
-    throw std::invalid_argument(
-        "PStableLshIndex::query_batch_into: scratch must come from "
-        "make_scratch()");
-  }
-  assert(queries.size() == count * dim_);
-  assert(results.size() >= count);
-  QueryScratch& sc = handle->sc;
-  const std::size_t per_query = keys_per_query();
+void PStableLshIndex::query_impl(std::span<const float> q, std::size_t k,
+                                 std::vector<Neighbor>& out,
+                                 QueryStats* stats) const {
   const std::size_t per_table = 1 + probes();
-  if (sc.keys.size() < count * per_query) {
-    sc.keys.resize(count * per_query);
-  }
-  // Stage 1, table-major: one pass per table over the whole batch, so each
-  // table's projection matrix stays hot in cache across frames — the
-  // locality win batching buys over per-query hashing.
   for (std::size_t t = 0; t < tables_.size(); ++t) {
-    for (std::size_t b = 0; b < count; ++b) {
-      hash_query(sc, tables_[t], queries.subspan(b * dim_, dim_),
-                 sc.keys.data() + b * per_query + t * per_table);
-    }
+    hash_query(tables_[t], q, scratch_.keys.data() + t * per_table);
   }
-  // Stages 2+3 per query, replaying each query's staged keys in table
-  // order — a query's result does not depend on its batch.
-  for (std::size_t b = 0; b < count; ++b) {
-    QueryStats st;
-    gather_score(sc, queries.subspan(b * dim_, dim_), k,
-                 sc.keys.data() + b * per_query, results[b], st);
-    if (!results[b].empty()) st.farthest = results[b].back().distance;
-    if (stats != nullptr) stats[b] = st;
-  }
+  QueryStats st;
+  gather_score(q, k, out, st);
+  if (!out.empty()) st.farthest = out.back().distance;
+  if (stats != nullptr) *stats = st;
 }
 
 void PStableLshIndex::observe_queries(std::span<const QueryStats> stats) {
@@ -314,10 +276,11 @@ void PStableLshIndex::observe_queries(std::span<const QueryStats> stats) {
   }
 }
 
-void PStableLshIndex::score_quantized(QueryScratch& sc,
-                                      std::span<const float> q, std::size_t k,
+void PStableLshIndex::score_quantized(std::span<const float> q,
+                                      std::size_t k,
                                       std::vector<Neighbor>& out,
                                       QueryStats& st) const {
+  QueryScratch& sc = scratch_;
   const std::size_t n = sc.candidates.size();
 
   // Stage 1 — ADC scan: one uint8 gather pass over the code arena. The

@@ -11,8 +11,8 @@
 //  - stored vectors live in a contiguous slot-indexed arena, so candidate
 //    scoring is a batched gather kernel (l2_sq_gather) rather than one
 //    hash-map lookup plus pointer chase per candidate;
-//  - a reusable per-caller QueryScratch (coords, fractions, probe order,
-//    candidate and distance buffers, a generation-stamped seen mask) makes
+//  - one index-owned scratch (coords, fractions, probe order, candidate
+//    and distance buffers, a generation-stamped seen mask) makes
 //    steady-state queries perform zero heap allocations.
 
 #include <algorithm>
@@ -44,42 +44,10 @@ struct LshParams {
   QuantizeParams quantize;
 };
 
-/// p-stable LSH index over L2 distance.
-///
-/// Thread-safety contract (audited for the concurrent shared cache):
-///  - query_batch_into() with a distinct make_scratch() scratch per caller
-///    is read-only: any number of threads may run it concurrently against
-///    each other. It touches no index state — candidates, distances, seen
-///    stamps, and work accounting all live in the caller's scratch.
-///  - query()/query_into() use the index-owned scratch: one caller at a
-///    time.
-///  - insert()/remove()/rebuild_with_width()/observe_queries()/
-///    attach_metrics() mutate tables, arenas or instruments: exclusive
-///    access required (no concurrent readers).
-/// The cache layer (ApproxCache) enforces this discipline with its
-/// reader-writer lock; a bare index embedded elsewhere must do the same.
+/// p-stable LSH index over L2 distance. Not thread-safe: queries, inserts
+/// and rebuilds share the index-owned scratch (see NnIndex).
 class PStableLshIndex final : public NnIndex {
  public:
-  /// Per-caller reusable query working set; grows to the high-water mark
-  /// and is never shrunk, so steady-state queries allocate nothing. Each
-  /// querying thread gets its own via make_scratch().
-  struct QueryScratch {
-    std::vector<float> projected;       // k projections of one table
-    std::vector<std::int64_t> coords;   // quantized per-hash coordinates
-    std::vector<float> fractions;       // within-bucket fractional positions
-    std::vector<std::uint32_t> order;   // multiprobe flip order
-    std::vector<std::uint64_t> keys;    // staged bucket keys, probe order
-    std::vector<std::uint32_t> candidates;  // deduplicated candidate slots
-    std::vector<float> distances;       // squared distances per candidate
-    std::vector<std::uint32_t> seen;    // per-slot generation stamp
-    std::uint32_t generation = 0;
-    std::size_t last_candidates = 0;    // reservation hint for the next query
-    // Quantized-scan stage (unused on the float path):
-    std::vector<std::uint32_t> rank_order;  // candidate ranks by ADC score
-    std::vector<std::uint32_t> survivors;   // slots kept for exact re-rank
-    std::vector<float> exact;               // re-ranked squared distances
-  };
-
   PStableLshIndex(std::size_t dim, const LshParams& params);
 
   /// Adds a vector under `id`. Throws std::invalid_argument when `v` is
@@ -87,22 +55,6 @@ class PStableLshIndex final : public NnIndex {
   /// stale slots in the tables).
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
-
-  /// One QueryScratch per querying thread (see class comment).
-  std::unique_ptr<IndexScratch> make_scratch() const override;
-
-  /// Read-only batched query (see NnIndex::query_batch_into). Hashes
-  /// table-major — each table's projection matrix is applied to the whole
-  /// batch before moving on — so the matrices and offsets stay hot in cache
-  /// across frames; candidate gathering and scoring then run per query, so
-  /// a query's result does not depend on its batch. After a warm-up batch
-  /// with a comparable workload, performs zero heap allocations. Requires a
-  /// scratch obtained from make_scratch(); throws std::invalid_argument
-  /// otherwise.
-  void query_batch_into(std::span<const float> queries, std::size_t count,
-                        std::size_t k, IndexScratch* scratch,
-                        std::span<std::vector<Neighbor>> results,
-                        QueryStats* stats = nullptr) const override;
 
   std::size_t size() const noexcept override { return id_to_slot_.size(); }
   std::size_t dim() const noexcept override { return dim_; }
@@ -128,7 +80,34 @@ class PStableLshIndex final : public NnIndex {
   /// O(n L k dim); called rarely (adaptation), never per query.
   void rebuild_with_width(float new_width);
 
+ protected:
+  /// Hashes `q` into every table (base bucket plus multiprobe flips), then
+  /// gathers and scores the candidates. After a warm-up query with a
+  /// comparable workload, performs zero heap allocations.
+  void query_impl(std::span<const float> q, std::size_t k,
+                  std::vector<Neighbor>& out,
+                  QueryStats* stats) const override;
+
  private:
+  /// Reusable hashing and query working set; grows to the high-water mark
+  /// and is never shrunk, so steady-state queries allocate nothing.
+  struct QueryScratch {
+    std::vector<float> projected;       // k projections of one table
+    std::vector<std::int64_t> coords;   // quantized per-hash coordinates
+    std::vector<float> fractions;       // within-bucket fractional positions
+    std::vector<std::uint32_t> order;   // multiprobe flip order
+    std::vector<std::uint64_t> keys;    // staged bucket keys, probe order
+    std::vector<std::uint32_t> candidates;  // deduplicated candidate slots
+    std::vector<float> distances;       // squared distances per candidate
+    std::vector<std::uint32_t> seen;    // per-slot generation stamp
+    std::uint32_t generation = 0;
+    std::size_t last_candidates = 0;    // reservation hint for the next query
+    // Quantized-scan stage (unused on the float path):
+    std::vector<std::uint32_t> rank_order;  // candidate ranks by ADC score
+    std::vector<std::uint32_t> survivors;   // slots kept for exact re-rank
+    std::vector<float> exact;               // re-ranked squared distances
+  };
+
   /// Index into the vector arena (row `slot` starts at arena_[slot * dim_]).
   using Slot = std::uint32_t;
 
@@ -136,11 +115,6 @@ class PStableLshIndex final : public NnIndex {
     std::vector<float> projections;  ///< k x dim row-major matrix
     std::vector<float> offsets;      ///< k offsets in [0, w)
     std::unordered_map<std::uint64_t, std::vector<Slot>> buckets;
-  };
-
-  /// The scratch wrapper make_scratch() hands out.
-  struct ScratchHandle final : IndexScratch {
-    QueryScratch sc;
   };
 
   std::span<const float> slot_vec(Slot slot) const noexcept {
@@ -152,35 +126,24 @@ class PStableLshIndex final : public NnIndex {
   std::size_t probes() const noexcept {
     return std::min(params_.probes_per_table, params_.hashes_per_table);
   }
-  /// Staged bucket keys per query: tables x (base probe + flips).
-  std::size_t keys_per_query() const noexcept {
-    return tables_.size() * (1 + probes());
-  }
-
-  /// Sizes sc's fixed per-query buffers (projection row, coords, ...).
-  void prepare_scratch(QueryScratch& sc) const;
-  /// Fills sc.projected/coords (and fractions when asked) for one table;
-  /// returns the bucket key of the base probe.
-  std::uint64_t compute_coords(QueryScratch& sc, const Table& table,
-                               std::span<const float> v,
+  /// Fills scratch_.projected/coords (and fractions when asked) for one
+  /// table; returns the bucket key of the base probe.
+  std::uint64_t compute_coords(const Table& table, std::span<const float> v,
                                bool want_fractions) const;
   /// Stage 1 of a query against one table: base bucket key plus the
   /// query-directed multiprobe flip keys, written to keys[0..probes()].
-  void hash_query(QueryScratch& sc, const Table& table,
-                  std::span<const float> q, std::uint64_t* keys) const;
-  /// Stages 2+3: gathers candidates for the staged keys (dedup via sc's
+  void hash_query(const Table& table, std::span<const float> q,
+                  std::uint64_t* keys) const;
+  /// Stages 2+3: gathers candidates for the staged keys (dedup via the
   /// generation stamps, same bucket order as hashing), scores them (float
   /// gather or SQ8 scan + exact re-rank), fills `out` with the top k.
-  /// Read-only with respect to the index; all mutation lands in sc/st.
-  void gather_score(QueryScratch& sc, std::span<const float> q,
-                    std::size_t k, const std::uint64_t* keys,
+  void gather_score(std::span<const float> q, std::size_t k,
                     std::vector<Neighbor>& out, QueryStats& st) const;
   /// Hashes `slot`'s vector into every table, recording per-table keys.
   void link_slot(Slot slot);
-  /// SQ8 scan + exact re-rank over sc.candidates (quantized() only).
-  void score_quantized(QueryScratch& sc, std::span<const float> q,
-                       std::size_t k, std::vector<Neighbor>& out,
-                       QueryStats& st) const;
+  /// SQ8 scan + exact re-rank over scratch_.candidates (quantized() only).
+  void score_quantized(std::span<const float> q, std::size_t k,
+                       std::vector<Neighbor>& out, QueryStats& st) const;
 
   std::size_t dim_;
   LshParams params_;
@@ -200,10 +163,9 @@ class PStableLshIndex final : public NnIndex {
   std::vector<float> sq8_scale_;          ///< per-slot grid scale
   std::vector<float> sq8_recon_norm_sq_;  ///< per-slot |reconstruction|^2
 
-  // Hashing buffers for insert()/rebuild_with_width(). The query path never
-  // touches them (its scratch is caller-owned), which is what makes that
-  // path read-only.
-  QueryScratch insert_scratch_;
+  // Hashing and query buffers, shared by insert(), rebuild_with_width() and
+  // query_impl(): the index is single-caller, so they never overlap.
+  mutable QueryScratch scratch_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t candidates_hist_ = 0;
   std::uint32_t rerank_hist_ = 0;

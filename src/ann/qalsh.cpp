@@ -1,7 +1,6 @@
 #include "src/ann/qalsh.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -74,20 +73,10 @@ QalshIndex::QalshIndex(std::size_t dim, const QalshParams& params)
   proj_.resize(scheme_.m * dim);
   for (float& x : proj_) x = static_cast<float>(rng.normal());
   lines_.resize(scheme_.m);
-  insert_proj_.resize(scheme_.m);
-}
-
-void QalshIndex::prepare_scratch(QueryScratch& sc) const {
-  if (sc.proj_q.size() < scheme_.m) sc.proj_q.resize(scheme_.m);
-  sc.left.resize(scheme_.m);
-  sc.right.resize(scheme_.m);
-  sc.pending_left.resize(scheme_.m);
-}
-
-std::unique_ptr<IndexScratch> QalshIndex::make_scratch() const {
-  auto handle = std::make_unique<ScratchHandle>();
-  prepare_scratch(handle->sc);
-  return handle;
+  scratch_.proj_q.resize(scheme_.m);
+  scratch_.left.resize(scheme_.m);
+  scratch_.right.resize(scheme_.m);
+  scratch_.pending_left.resize(scheme_.m);
 }
 
 QalshIndex::Slot QalshIndex::claim_slot(VecId id, const FeatureVec& v) {
@@ -145,9 +134,9 @@ void QalshIndex::insert(VecId id, const FeatureVec& v) {
   it->second = slot;
   // One matrix-vector pass over the flat projection matrix, then append to
   // every line's pending tail (merged in batches, below).
-  dot_batch(v, proj_.data(), scheme_.m, insert_proj_.data());
+  dot_batch(v, proj_.data(), scheme_.m, scratch_.proj_q.data());
   for (std::size_t i = 0; i < scheme_.m; ++i) {
-    lines_[i].pending.push_back({insert_proj_[i], slot});
+    lines_[i].pending.push_back({scratch_.proj_q[i], slot});
   }
   // Amortized merge: a per-insert merge would be O(n) each;
   // batching max(64, n/64) inserts amortizes the merge while bounding the
@@ -216,8 +205,9 @@ void QalshIndex::compact() {
   if (metrics_ != nullptr) metrics_->inc(compactions_counter_);
 }
 
-void QalshIndex::score_from(QueryScratch& sc, std::span<const float> q,
-                            std::size_t from, std::size_t k) const {
+void QalshIndex::score_from(std::span<const float> q, std::size_t from,
+                            std::size_t k) const {
+  QueryScratch& sc = scratch_;
   const std::size_t total = sc.candidates.size();
   if (total == from) return;
   if (sc.distances.size() < total) sc.distances.resize(total);
@@ -252,9 +242,10 @@ void QalshIndex::score_from(QueryScratch& sc, std::span<const float> q,
   }
 }
 
-void QalshIndex::collect(QueryScratch& sc, const float* proj_q,
-                         std::span<const float> q, std::size_t k,
+void QalshIndex::collect(std::span<const float> q, std::size_t k,
                          QueryStats& st) const {
+  QueryScratch& sc = scratch_;
+  const float* proj_q = sc.proj_q.data();
   const std::size_t m = scheme_.m;
   const std::uint16_t l = static_cast<std::uint16_t>(scheme_.l);
   const std::size_t n = id_to_slot_.size();
@@ -360,7 +351,7 @@ void QalshIndex::collect(QueryScratch& sc, const float* proj_q,
     }
     // Score this round's new candidates in one gather pass.
     if (sc.candidates.size() > scored) {
-      score_from(sc, q, scored, k);
+      score_from(q, scored, k);
       scored = sc.candidates.size();
     }
     if (done) break;
@@ -388,9 +379,9 @@ void QalshIndex::collect(QueryScratch& sc, const float* proj_q,
   sc.last_candidates = sc.candidates.size();
 }
 
-void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
-                          std::size_t k, std::vector<Neighbor>& out,
-                          QueryStats& st) const {
+void QalshIndex::finalize(std::span<const float> q, std::size_t k,
+                          std::vector<Neighbor>& out, QueryStats& st) const {
+  QueryScratch& sc = scratch_;
   out.clear();
   const std::size_t n = sc.candidates.size();
   st.candidates = n;
@@ -448,50 +439,20 @@ void QalshIndex::finalize(QueryScratch& sc, std::span<const float> q,
   out.resize(take);
 }
 
-void QalshIndex::query_one(QueryScratch& sc, const float* proj_q,
-                           std::span<const float> q, std::size_t k,
-                           std::vector<Neighbor>& out, QueryStats& st) const {
-  st = {};
+void QalshIndex::query_impl(std::span<const float> q, std::size_t k,
+                            std::vector<Neighbor>& out,
+                            QueryStats* stats) const {
+  QueryStats st;
   st.stop = SweepStop::kExhausted;  // nothing to sweep counts as exhausted
   if (k == 0 || id_to_slot_.empty()) {
     out.clear();
-    return;
+  } else {
+    dot_batch(q, proj_.data(), scheme_.m, scratch_.proj_q.data());
+    collect(q, k, st);
+    finalize(q, k, out, st);
+    if (!out.empty()) st.farthest = out.back().distance;
   }
-  collect(sc, proj_q, q, k, st);
-  finalize(sc, q, k, out, st);
-  if (!out.empty()) st.farthest = out.back().distance;
-}
-
-void QalshIndex::query_batch_into(std::span<const float> queries,
-                                  std::size_t count, std::size_t k,
-                                  IndexScratch* scratch,
-                                  std::span<std::vector<Neighbor>> results,
-                                  QueryStats* stats) const {
-  auto* handle = dynamic_cast<ScratchHandle*>(scratch);
-  if (handle == nullptr) {
-    throw std::invalid_argument(
-        "QalshIndex::query_batch_into: scratch must come from "
-        "make_scratch()");
-  }
-  assert(queries.size() == count * dim_);
-  assert(results.size() >= count);
-  QueryScratch& sc = handle->sc;
-  const std::size_t m = scheme_.m;
-  if (sc.proj_q.size() < count * m) sc.proj_q.resize(count * m);
-  // Stage 1 for the whole batch: the m x dim projection matrix is applied
-  // to every query before any sweep runs, so it stays hot across frames.
-  for (std::size_t b = 0; b < count; ++b) {
-    dot_batch(queries.subspan(b * dim_, dim_), proj_.data(), m,
-              sc.proj_q.data() + b * m);
-  }
-  // Sweeps per query. No metrics, no controller feed: this path is
-  // read-only (observe_queries() does both at fold time).
-  for (std::size_t b = 0; b < count; ++b) {
-    QueryStats st;
-    query_one(sc, sc.proj_q.data() + b * m, queries.subspan(b * dim_, dim_),
-              k, results[b], st);
-    if (stats != nullptr) stats[b] = st;
-  }
+  if (stats != nullptr) *stats = st;
 }
 
 void QalshIndex::observe_queries(std::span<const QueryStats> stats) {

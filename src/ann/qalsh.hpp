@@ -32,13 +32,12 @@
 //    defer compaction until a quarter of the index is dead; dead slots are
 //    only reused after compaction has filtered their line entries, so a
 //    reused slot can never alias a stale projection entry;
-//  - a per-caller QueryScratch (projections, per-line cursors, a
+//  - one index-owned scratch (projections, per-line cursors, a
 //    stamp-reset collision-frequency table, candidate and distance buffers,
 //    a k-element distance heap) makes steady-state queries perform zero
 //    heap allocations.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -72,20 +71,9 @@ struct QalshParams {
   QuantizeParams quantize;
 };
 
-/// Query-aware LSH index over L2 distance (see file comment).
-///
-/// Thread-safety contract (same discipline as PStableLshIndex, audited for
-/// the concurrent shared cache):
-///  - query_batch_into() with a distinct make_scratch() scratch per caller
-///    is read-only: any number of threads may run it concurrently against
-///    each other. All per-query state — cursors, collision frequencies,
-///    candidates, the distance heap — lives in the caller's scratch.
-///  - query()/query_into() use the index-owned scratch: one caller at a
-///    time.
-///  - insert()/remove()/observe_queries()/attach_metrics() mutate lines,
-///    arenas, instruments or the radius controller: exclusive access
-///    required.
-/// The cache layer (ApproxCache) enforces this with its reader-writer lock.
+/// Query-aware LSH index over L2 distance (see file comment). Not
+/// thread-safe: queries and inserts share the index-owned scratch (see
+/// NnIndex).
 class QalshIndex final : public NnIndex {
  public:
   /// The derived scheme the guarantee parameters produced (exposed for
@@ -98,26 +86,6 @@ class QalshIndex final : public NnIndex {
     std::size_t l = 0;  ///< collision-frequency candidacy threshold
   };
 
-  /// Per-caller reusable query working set; grows to the high-water mark
-  /// and is never shrunk, so steady-state queries allocate nothing.
-  struct QueryScratch {
-    std::vector<float> proj_q;      // m query projections (batch: count x m)
-    std::vector<std::uint32_t> left;          // per-line left cursor
-    std::vector<std::uint32_t> right;         // per-line right cursor
-    std::vector<std::uint32_t> pending_left;  // per-line unswept tail count
-    std::vector<std::uint16_t> freq;   // per-slot collision count
-    std::vector<std::uint32_t> stamp;  // per-slot generation stamp
-    std::uint32_t generation = 0;
-    std::vector<std::uint32_t> candidates;  // slots that reached frequency l
-    std::vector<float> distances;  // squared distances (ADC when quantized)
-    std::vector<float> heap;       // k-element max-heap of best distances
-    std::size_t last_candidates = 0;  // reservation hint for the next query
-    // Quantized-scan re-rank stage (unused on the float path):
-    std::vector<std::uint32_t> rank_order;
-    std::vector<std::uint32_t> survivors;
-    std::vector<float> exact;
-  };
-
   QalshIndex(std::size_t dim, const QalshParams& params);
 
   /// Adds a vector under `id`. Throws std::invalid_argument when `v` is
@@ -126,23 +94,9 @@ class QalshIndex final : public NnIndex {
   void insert(VecId id, const FeatureVec& v) override;
   bool remove(VecId id) override;
 
-  /// One QueryScratch per querying thread (see class comment).
-  std::unique_ptr<IndexScratch> make_scratch() const override;
-
-  /// Read-only batched query (see NnIndex::query_batch_into). Projects the
-  /// whole batch first — the m x dim projection matrix stays hot across
-  /// frames — then sweeps per query, so a query's result does not depend on
-  /// its batch. Fills each QueryStats with candidates, re-rank survivors,
-  /// rehash rounds, collisions and the stop reason. Requires a scratch
-  /// obtained from make_scratch(); throws std::invalid_argument otherwise.
-  void query_batch_into(std::span<const float> queries, std::size_t count,
-                        std::size_t k, IndexScratch* scratch,
-                        std::span<std::vector<Neighbor>> results,
-                        QueryStats* stats = nullptr) const override;
-
-  /// The fold-time hook (exclusive access): records each query's
-  /// "ann/candidates", "ann/rerank_survivors" (quantized) and "ann/qalsh/*"
-  /// samples when metrics are attached, then feeds the radius controller:
+  /// The learning hook: records each query's "ann/candidates",
+  /// "ann/rerank_survivors" (quantized) and "ann/qalsh/*" samples when
+  /// metrics are attached, then feeds the radius controller:
   /// EMAs the farthest returned distances and starts future virtual-rehash
   /// schedules one expansion below that estimate, skipping rounds that
   /// cannot terminate. Skipping ahead counts exactly the collisions the
@@ -182,7 +136,35 @@ class QalshIndex final : public NnIndex {
   std::size_t merge_count() const noexcept { return merges_; }
   std::size_t compaction_count() const noexcept { return compactions_; }
 
+ protected:
+  /// Projects `q`, sweeps, then ranks. Fills the QueryStats with
+  /// candidates, re-rank survivors, rehash rounds, collisions and the stop
+  /// reason.
+  void query_impl(std::span<const float> q, std::size_t k,
+                  std::vector<Neighbor>& out,
+                  QueryStats* stats) const override;
+
  private:
+  /// Reusable projection and query working set; grows to the high-water
+  /// mark and is never shrunk, so steady-state queries allocate nothing.
+  struct QueryScratch {
+    std::vector<float> proj_q;      // m projections of the query or insert
+    std::vector<std::uint32_t> left;          // per-line left cursor
+    std::vector<std::uint32_t> right;         // per-line right cursor
+    std::vector<std::uint32_t> pending_left;  // per-line unswept tail count
+    std::vector<std::uint16_t> freq;   // per-slot collision count
+    std::vector<std::uint32_t> stamp;  // per-slot generation stamp
+    std::uint32_t generation = 0;
+    std::vector<std::uint32_t> candidates;  // slots that reached frequency l
+    std::vector<float> distances;  // squared distances (ADC when quantized)
+    std::vector<float> heap;       // k-element max-heap of best distances
+    std::size_t last_candidates = 0;  // reservation hint for the next query
+    // Quantized-scan re-rank stage (unused on the float path):
+    std::vector<std::uint32_t> rank_order;
+    std::vector<std::uint32_t> survivors;
+    std::vector<float> exact;
+  };
+
   /// Index into the vector arena (row `slot` starts at arena_[slot * dim_]).
   using Slot = std::uint32_t;
 
@@ -198,18 +180,11 @@ class QalshIndex final : public NnIndex {
     std::vector<Entry> pending;  ///< unmerged recent inserts
   };
 
-  /// The scratch wrapper make_scratch() hands out.
-  struct ScratchHandle final : IndexScratch {
-    QueryScratch sc;
-  };
-
   std::span<const float> slot_vec(Slot slot) const noexcept {
     return {arena_.data() + static_cast<std::size_t>(slot) * dim_, dim_};
   }
   std::size_t slot_count() const noexcept { return slot_ids_.size(); }
 
-  /// Sizes sc's fixed per-query buffers (projections, cursors).
-  void prepare_scratch(QueryScratch& sc) const;
   /// Claims a slot (reuse or arena growth) and stores `v` (+ SQ8 codes).
   Slot claim_slot(VecId id, const FeatureVec& v);
   /// Batch-merges every line's pending tail into its sorted array.
@@ -217,26 +192,20 @@ class QalshIndex final : public NnIndex {
   /// Filters dead slots out of every line and recycles them.
   void compact();
 
-  /// The QALSH sweep: walks every line outward from proj_q under the
-  /// virtual-rehash schedule, collision-counts entries, promotes frequent
-  /// slots to candidates and scores them per round (float gather or ADC),
-  /// until C1 (k-th candidate within c*R), C2 (k + beta*n candidates) or
-  /// exhaustion; fills st's rounds, collisions and stop reason. Read-only
-  /// with respect to the index.
-  void collect(QueryScratch& sc, const float* proj_q,
-               std::span<const float> q, std::size_t k,
-               QueryStats& st) const;
+  /// The QALSH sweep: walks every line outward from scratch_.proj_q under
+  /// the virtual-rehash schedule, collision-counts entries, promotes
+  /// frequent slots to candidates and scores them per round (float gather
+  /// or ADC), until C1 (k-th candidate within c*R), C2 (k + beta*n
+  /// candidates) or exhaustion; fills st's rounds, collisions and stop
+  /// reason.
+  void collect(std::span<const float> q, std::size_t k, QueryStats& st) const;
   /// Scores candidates [from, candidates.size()) and feeds the k-heap.
-  void score_from(QueryScratch& sc, std::span<const float> q,
-                  std::size_t from, std::size_t k) const;
-  /// Ranks sc's scored candidates into `out` (exact re-rank when
+  void score_from(std::span<const float> q, std::size_t from,
+                  std::size_t k) const;
+  /// Ranks the scored candidates into `out` (exact re-rank when
   /// quantized), filling st's survivor count.
-  void finalize(QueryScratch& sc, std::span<const float> q, std::size_t k,
+  void finalize(std::span<const float> q, std::size_t k,
                 std::vector<Neighbor>& out, QueryStats& st) const;
-  /// One query of a batch: sweep, then rank.
-  void query_one(QueryScratch& sc, const float* proj_q,
-                 std::span<const float> q, std::size_t k,
-                 std::vector<Neighbor>& out, QueryStats& st) const;
 
   std::size_t dim_;
   QalshParams params_;
@@ -263,9 +232,8 @@ class QalshIndex final : public NnIndex {
   /// Recomputes start_radius_ from the EMA.
   void retune_start_radius();
 
-  // Radius controller. Fed only through observe_queries() (an
-  // exclusive-access call): the query path never touches it, so every
-  // query between two folds runs the same schedule.
+  // Radius controller. Fed only through observe_queries(): the query path
+  // never touches it.
   static constexpr double kEmaAlpha = 0.1;
   double dk_ema_ = 0.0;
   bool has_ema_ = false;
@@ -273,10 +241,9 @@ class QalshIndex final : public NnIndex {
   std::size_t merges_ = 0;
   std::size_t compactions_ = 0;
 
-  // insert()'s projection buffer (m floats). The query path never touches
-  // it (its scratch is caller-owned), which is what makes that path
-  // read-only.
-  std::vector<float> insert_proj_;
+  // Projection and query buffers, shared by insert() and query_impl(): the
+  // index is single-caller, so they never overlap.
+  mutable QueryScratch scratch_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t candidates_hist_ = 0;
   std::uint32_t rerank_hist_ = 0;

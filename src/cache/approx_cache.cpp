@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
-#include <mutex>
 #include <stdexcept>
+#include <string>
 
 #include "src/obs/frame_trace.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace apx {
+
+bool valid_key(std::span<const float> key, std::size_t dim) noexcept {
+  return key.size() == dim && std::all_of(key.begin(), key.end(), [](float x) {
+           return std::isfinite(x);
+         });
+}
 
 ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
                          std::unique_ptr<EvictionPolicy> eviction)
@@ -25,9 +32,14 @@ ApproxCache::ApproxCache(std::size_t dim, const ApproxCacheConfig& config,
   if (dim == 0 || config.capacity == 0 || eviction_ == nullptr) {
     throw std::invalid_argument("ApproxCache: bad configuration");
   }
-  scratch_.index_scratch_ = index_->make_scratch();
-  scratch_.results_.resize(1);
-  scratch_.stats_.resize(1);
+}
+
+void ApproxCache::check_key(std::span<const float> key,
+                            const char* where) const {
+  if (!valid_key(key, dim_)) {
+    throw std::invalid_argument(std::string(where) +
+                                ": key is not dim() finite values");
+  }
 }
 
 SimDuration ApproxCache::simulated_latency(
@@ -55,138 +67,67 @@ HknnParams ApproxCache::effective_params(
 }
 
 CacheResult ApproxCache::lookup(const CacheQuery& q) {
-  if (q.count != 1) {
-    throw std::invalid_argument(
-        "ApproxCache::lookup: single-frame path (use lookup_batch)");
-  }
-  if (q.features.size() != dim_) {
-    throw std::invalid_argument("ApproxCache::lookup: bad feature size");
-  }
-  std::unique_lock lock(mu_);
+  check_key(q.features, "ApproxCache::lookup");
+  std::lock_guard lock(mu_);
+  const HknnParams params = effective_params(q.threshold_scale);
+  index_->query_into(q.features, params.k, neighbors_, &stats_);
   CacheResult result;
-  answer(q, {&result, 1}, scratch_);
+  result.candidates = stats_.candidates;
+  result.latency =
+      simulated_latency(stats_.candidates, stats_.rerank_survivors);
+  result.vote = hknn_vote(neighbors_, label_of_, params);
+  if (q.trace != nullptr) {
+    q.trace->annotate_lookup(
+        static_cast<std::uint32_t>(stats_.candidates),
+        neighbors_.empty() ? -1.0f : neighbors_.front().distance);
+    if (quantized_scan_) {
+      q.trace->annotate_rerank(
+          static_cast<std::uint32_t>(stats_.rerank_survivors));
+    }
+    if (stats_.rounds > 0) {
+      q.trace->annotate_rounds(static_cast<std::uint32_t>(stats_.rounds));
+    }
+  }
   if (metrics_ != nullptr) {
     metrics_->record(lookup_us_hist_, static_cast<double>(result.latency));
-    const std::vector<Neighbor>& neighbors = scratch_.results_[0];
-    if (!neighbors.empty()) {
+    if (!neighbors_.empty()) {
       metrics_->record(nearest_distance_hist_,
-                       static_cast<double>(neighbors.front().distance));
+                       static_cast<double>(neighbors_.front().distance));
     }
   }
-  fold(scratch_);
+  // The fold: touch the voters (the nearest `voters` neighbours), tally
+  // the outcome, feed the index hook.
+  if (result.vote.has_value()) {
+    const std::size_t voters =
+        std::min(result.vote->voters, neighbors_.size());
+    for (std::size_t i = 0; i < voters; ++i) {
+      auto it = entries_.find(neighbors_[i].id);
+      if (it != entries_.end()) {
+        it->second.last_access = q.now;
+        ++it->second.access_count;
+      }
+    }
+    counters_.inc("hit");
+  } else {
+    counters_.inc("miss");
+  }
+  index_->observe_queries({&stats_, 1});
   return result;
-}
-
-void ApproxCache::lookup_batch(const CacheQuery& q,
-                               std::span<CacheResult> results,
-                               CacheQueryScratch& scratch) const {
-  if (q.count == 0) return;
-  if (q.features.size() != q.count * dim_ || results.size() < q.count) {
-    throw std::invalid_argument("ApproxCache::lookup_batch: bad sizes");
-  }
-  std::shared_lock lock(mu_);
-  answer(q, results, scratch);
-}
-
-void ApproxCache::answer(const CacheQuery& q, std::span<CacheResult> results,
-                         CacheQueryScratch& scratch) const {
-  const HknnParams params = effective_params(q.threshold_scale);
-  if (scratch.results_.size() < q.count) scratch.results_.resize(q.count);
-  if (scratch.stats_.size() < q.count) scratch.stats_.resize(q.count);
-  index_->query_batch_into(q.features, q.count, params.k,
-                           scratch.index_scratch_.get(),
-                           {scratch.results_.data(), q.count},
-                           scratch.stats_.data());
-
-  for (std::size_t b = 0; b < q.count; ++b) {
-    const std::vector<Neighbor>& neighbors = scratch.results_[b];
-    const QueryStats& st = scratch.stats_[b];
-    CacheResult r;
-    r.candidates = st.candidates;
-    r.latency = simulated_latency(st.candidates, st.rerank_survivors);
-    r.vote = hknn_vote(neighbors, label_of_, params);
-    if (q.trace != nullptr && q.count == 1) {
-      q.trace->annotate_lookup(
-          static_cast<std::uint32_t>(st.candidates),
-          neighbors.empty() ? -1.0f : neighbors.front().distance);
-      if (quantized_scan_) {
-        q.trace->annotate_rerank(
-            static_cast<std::uint32_t>(st.rerank_survivors));
-      }
-      if (st.rounds > 0) {
-        q.trace->annotate_rounds(static_cast<std::uint32_t>(st.rounds));
-      }
-    }
-    ++scratch.lookups_;
-    if (r.vote.has_value()) {
-      ++scratch.hits_;
-      // Defer voter touches to the next fold (bounded buffer: overflow is
-      // dropped — recency is an eviction heuristic, not correctness).
-      std::size_t touched = 0;
-      for (const Neighbor& n : neighbors) {
-        if (touched >= r.vote->voters) break;
-        if (scratch.touches_.size() < CacheQueryScratch::kMaxTouches) {
-          scratch.touches_.push_back({n.id, q.now});
-        }
-        ++touched;
-      }
-    } else {
-      ++scratch.misses_;
-    }
-    if (scratch.query_stats_.size() < CacheQueryScratch::kMaxQueryStats) {
-      scratch.query_stats_.push_back(st);
-    }
-    results[b] = std::move(r);
-  }
-}
-
-CacheQueryScratch ApproxCache::make_scratch() const {
-  CacheQueryScratch scratch;
-  std::shared_lock lock(mu_);
-  scratch.index_scratch_ = index_->make_scratch();
-  return scratch;
-}
-
-void ApproxCache::fold_scratch(CacheQueryScratch& scratch) {
-  std::unique_lock lock(mu_);
-  fold(scratch);
-}
-
-void ApproxCache::fold(CacheQueryScratch& scratch) {
-  for (const CacheQueryScratch::Touch& t : scratch.touches_) {
-    auto it = entries_.find(t.id);
-    if (it != entries_.end()) {
-      it->second.last_access = t.now;
-      ++it->second.access_count;
-    }
-  }
-  if (scratch.hits_ > 0) counters_.inc("hit", scratch.hits_);
-  if (scratch.misses_ > 0) counters_.inc("miss", scratch.misses_);
-  index_->observe_queries(scratch.query_stats_);
-  scratch.touches_.clear();
-  scratch.query_stats_.clear();
-  scratch.lookups_ = 0;
-  scratch.hits_ = 0;
-  scratch.misses_ = 0;
 }
 
 const std::vector<Neighbor>& ApproxCache::probe(std::span<const float> q,
                                                 std::size_t k) const {
-  index_->query_batch_into(q, 1, k, scratch_.index_scratch_.get(),
-                           {scratch_.results_.data(), 1},
-                           scratch_.stats_.data());
-  index_->observe_queries({scratch_.stats_.data(), 1});
-  return scratch_.results_[0];
+  index_->query_into(q, k, neighbors_, &stats_);
+  index_->observe_queries({&stats_, 1});
+  return neighbors_;
 }
 
 VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
                           SimTime now, EntryOrigin origin,
                           std::uint8_t hop_count,
                           std::uint32_t source_device) {
-  if (feature.size() != dim_) {
-    throw std::invalid_argument("ApproxCache::insert: bad feature size");
-  }
-  std::unique_lock lock(mu_);
+  check_key(feature, "ApproxCache::insert");
+  std::lock_guard lock(mu_);
   while (entries_.size() >= config_.capacity) {
     evict_one(now);
   }
@@ -209,7 +150,7 @@ VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
 }
 
 bool ApproxCache::remove(VecId id) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   const auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   index_->remove(id);
@@ -219,7 +160,7 @@ bool ApproxCache::remove(VecId id) {
 }
 
 void ApproxCache::clear() {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   for (const auto& [id, _] : entries_) index_->remove(id);
   entries_.clear();
   counters_.inc("clear");
@@ -227,44 +168,35 @@ void ApproxCache::clear() {
 }
 
 const CacheEntry* ApproxCache::find(VecId id) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   const auto it = entries_.find(id);
   return it == entries_.end() ? nullptr : &it->second;
 }
 
 std::optional<float> ApproxCache::nearest_distance(
     std::span<const float> q) const {
-  if (q.size() != dim_) {
-    throw std::invalid_argument(
-        "ApproxCache::nearest_distance: bad feature size");
-  }
-  std::unique_lock lock(mu_);
+  check_key(q, "ApproxCache::nearest_distance");
+  std::lock_guard lock(mu_);
   const std::vector<Neighbor>& nearest = probe(q, 1);
   if (nearest.empty()) return std::nullopt;
   return nearest.front().distance;
 }
 
 std::optional<HknnVote> ApproxCache::peek_vote(const CacheQuery& q) const {
-  if (q.count != 1) {
-    throw std::invalid_argument(
-        "ApproxCache::peek_vote: single-frame path");
-  }
-  if (q.features.size() != dim_) {
-    throw std::invalid_argument("ApproxCache::peek_vote: bad feature size");
-  }
-  std::unique_lock lock(mu_);
+  check_key(q.features, "ApproxCache::peek_vote");
+  std::lock_guard lock(mu_);
   return hknn_vote(probe(q.features, config_.hknn.k), label_of_,
                    effective_params(q.threshold_scale));
 }
 
 void ApproxCache::for_each(
     const std::function<void(const CacheEntry&)>& fn) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   for (const auto& [_, entry] : entries_) fn(entry);
 }
 
 std::vector<CacheEntry> ApproxCache::entries_since(SimTime since) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   std::vector<CacheEntry> out;
   for (const auto& [_, entry] : entries_) {
     if (entry.insert_time >= since) out.push_back(entry);
@@ -278,12 +210,12 @@ std::vector<CacheEntry> ApproxCache::entries_since(SimTime since) const {
 }
 
 std::size_t ApproxCache::size() const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return entries_.size();
 }
 
 void ApproxCache::attach_metrics(MetricsRegistry& metrics) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   metrics_ = &metrics;
   lookup_us_hist_ = metrics.histogram("cache/lookup_us", latency_us_bounds());
   nearest_distance_hist_ =

@@ -52,7 +52,9 @@ std::size_t load_snapshot(ApproxCache& cache,
   std::size_t restored = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     FeatureVec feature = r.f32_vec();
-    if (feature.size() != dim) throw CodecError("snapshot: bad entry dim");
+    // A corrupted snapshot can decode into non-finite floats, which the
+    // cache rejects; report them as the codec error they are.
+    if (!valid_key(feature, dim)) throw CodecError("snapshot: bad entry key");
     const auto label = static_cast<Label>(r.i64());
     const float confidence = r.f32();
     const SimDuration age = std::max<SimDuration>(0, r.i64());

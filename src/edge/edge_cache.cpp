@@ -83,6 +83,10 @@ CacheResult EdgeCacheService::query(std::span<const float> features,
 bool EdgeCacheService::feed(const FeatureVec& features, Label label,
                             float confidence, SimTime now,
                             std::uint32_t source_device) {
+  // Validate before counting: a rejected key is not a feed.
+  if (!valid_key(features, dim_)) {
+    throw std::invalid_argument("EdgeCacheService::feed: bad key");
+  }
   {
     std::lock_guard<std::mutex> lock{counters_mu_};
     counters_.inc("feed");
@@ -129,7 +133,7 @@ std::size_t EdgeCacheService::sweep(SimTime now) {
     shard->for_each([&](const CacheEntry& entry) {
       if (now >= entry.insert_time + params_.ttl) expired.push_back(entry.id);
     });
-    // for_each holds the shared lock; mutate only after it returns. Sorted
+    // for_each holds the shard's lock; mutate only after it returns. Sorted
     // ids keep the removal order independent of hash-map iteration.
     std::sort(expired.begin(), expired.end());
     for (const VecId id : expired) {
@@ -217,7 +221,9 @@ void EdgeCacheService::handle_lookup(const EdgeLookupRequestMsg& msg) {
   resp.request_id = msg.request_id;
   resp.sender = self_;
   SimDuration latency = 0;
-  if (msg.query.size() == dim_) {
+  // A corrupted request can decode into a wrong-size or non-finite query;
+  // reject it here (the shard would throw) and still reply, with no vote.
+  if (valid_key(msg.query, dim_)) {
     const CacheResult res = query(msg.query, sim_->now(), msg.threshold_scale);
     latency = res.latency;
     if (res.vote.has_value()) {
@@ -239,21 +245,10 @@ void EdgeCacheService::handle_lookup(const EdgeLookupRequestMsg& msg) {
 
 void EdgeCacheService::handle_feed(const EdgeFeedMsg& msg) {
   const WireEntry& entry = msg.entry;
-  if (entry.feature.size() != dim_ || entry.label == kNoLabel) {
-    std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("bad_message");
-    return;
-  }
   // Corruption can decode into garbage floats; NaN keys would poison every
-  // distance comparison in the shard. Reject non-finite values up front.
-  for (const float x : entry.feature) {
-    if (!std::isfinite(x)) {
-      std::lock_guard<std::mutex> lock{counters_mu_};
-      counters_.inc("bad_message");
-      return;
-    }
-  }
-  if (!std::isfinite(entry.confidence)) {
+  // distance comparison in the shard. Reject them up front.
+  if (!valid_key(entry.feature, dim_) || entry.label == kNoLabel ||
+      !std::isfinite(entry.confidence)) {
     std::lock_guard<std::mutex> lock{counters_mu_};
     counters_.inc("bad_message");
     return;

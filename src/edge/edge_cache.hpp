@@ -10,8 +10,8 @@
 //  * sharding — the key space is split across N concurrent ApproxCache
 //    shards by a feature hash (sign random projections, so near-identical
 //    keys land in the same shard and ANN recall survives the split). Each
-//    shard is the shared-reader/exclusive-writer cache of DESIGN.md §9 with
-//    its own capacity, so writers on different shards never contend.
+//    shard is an internally serialized cache (DESIGN.md §9) with its own
+//    capacity and lock, so callers on different shards never contend.
 //  * error-controlled admission — following Finamore et al., an entry joins
 //    only when the estimated extra serving error it introduces clears
 //    EdgeParams::error_budget. The estimate comes from the shard's own
@@ -92,6 +92,8 @@ class EdgeCacheService {
   /// Error-controlled admission: estimates the serving-error increase of
   /// the candidate entry from the routed shard's current vote and admits
   /// only within params().error_budget. Returns whether the entry joined.
+  /// Throws std::invalid_argument, before counting the feed, unless
+  /// valid_key(features, dim).
   bool feed(const FeatureVec& features, Label label, float confidence,
             SimTime now, std::uint32_t source_device = 0);
 

@@ -267,20 +267,11 @@ void PeerCacheService::handle_advert(const EntryAdvertMsg& msg) {
 }
 
 bool PeerCacheService::merge_entry(const WireEntry& entry) {
-  if (entry.feature.size() != cache_->dim() || entry.label == kNoLabel) {
-    counters_.inc("bad_message");
-    return false;
-  }
   // A corrupted payload can decode "successfully" into garbage floats; a
   // NaN feature would defeat every distance comparison downstream and sit
   // in the cache poisoning votes forever. Reject non-finite values here.
-  for (const float x : entry.feature) {
-    if (!std::isfinite(x)) {
-      counters_.inc("bad_message");
-      return false;
-    }
-  }
-  if (!std::isfinite(entry.confidence)) {
+  if (!valid_key(entry.feature, cache_->dim()) || entry.label == kNoLabel ||
+      !std::isfinite(entry.confidence)) {
     counters_.inc("bad_message");
     return false;
   }

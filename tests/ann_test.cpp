@@ -27,8 +27,8 @@ FeatureVec random_unit(Rng& rng, std::size_t dim) {
   return v;
 }
 
-// A single cache lookup's index traffic: a batch of one, then the fold-time
-// hook at once (instruments + controller feed).
+// A single cache lookup's index traffic: one query, then the index hook at
+// once (instruments + controller feed).
 std::vector<Neighbor> query_and_fold(NnIndex& index, std::span<const float> q,
                                      std::size_t k) {
   std::vector<Neighbor> out;

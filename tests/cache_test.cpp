@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/ann/qalsh.hpp"
 #include "src/cache/approx_cache.hpp"
@@ -82,6 +83,36 @@ TEST(ApproxCache, InsertRejectsWrongFeatureSizeBeforeAnyChange) {
   // The cache still works after the rejected insert.
   cache.insert(unit_at(0.0f), 5, 0.9f, 0);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// Non-finite keys are rejected before any change, on every backend: on the
+// LSH family a NaN or infinity would reach the float-to-integer bucket cast.
+TEST(ApproxCache, NonFiniteKeysThrowBeforeAnyChange) {
+  for (const IndexKind kind : {IndexKind::kExact, IndexKind::kLsh,
+                               IndexKind::kAdaptiveLsh, IndexKind::kQalsh}) {
+    SCOPED_TRACE(to_string(kind));
+    auto cache = make_cache(kind);
+    cache.insert(unit_at(0.0f), 5, 0.9f, 0);
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      FeatureVec key = unit_at(0.0f);
+      key[kDim / 2] = bad;
+      EXPECT_THROW((void)cache.lookup({.features = key, .now = 1}),
+                   std::invalid_argument);
+      EXPECT_THROW((void)cache.peek_vote({.features = key}),
+                   std::invalid_argument);
+      EXPECT_THROW((void)cache.nearest_distance(key), std::invalid_argument);
+      EXPECT_THROW(cache.insert(key, 6, 0.9f, 1), std::invalid_argument);
+    }
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.counters().get("hit"), 0u);
+    EXPECT_EQ(cache.counters().get("miss"), 0u);
+    EXPECT_EQ(cache.counters().get("insert"), 1u);
+    // The cache still answers a valid key.
+    EXPECT_TRUE(
+        cache.lookup({.features = unit_at(0.0f), .now = 2}).vote.has_value());
+  }
 }
 
 TEST(ApproxCache, EmptyLookupMisses) {
@@ -233,10 +264,10 @@ TEST(ApproxCache, NearestDistanceFindsClosest) {
   EXPECT_NEAR(*d, 0.0f, 1e-6f);
 }
 
-// Pins what peek_vote() and nearest_distance() do today: of the fold they
-// apply only the index hook — one ANN instrument sample and one controller
-// sample per call — and nothing else. Making them side-effect-free is a
-// deliberate change that must edit this test.
+// Pins what peek_vote() and nearest_distance() do today: of lookup()'s
+// fold they apply only the index hook — one ANN instrument sample and one
+// controller sample per call — and nothing else. Making them
+// side-effect-free is a deliberate change that must edit this test.
 TEST(ApproxCache, PeekAndNearestApplyOnlyTheIndexHook) {
   auto cfg = small_config(IndexKind::kQalsh);
   cfg.capacity = 64;

@@ -1,7 +1,8 @@
-// Concurrency tests for the shared ApproxCache: batched-vs-single parity,
-// deferred side-effect folding, and N-readers/1-writer interleavings. The
-// interleaved tests are the payload of the TSan CI leg — they pass trivially
-// on a race-free build and light up under ThreadSanitizer otherwise.
+// Concurrency tests for the shared ApproxCache: the lookup fold feeding the
+// index controller, and N-readers/1-writer interleavings over the one
+// locked query path. The interleaved tests are the payload of the TSan CI
+// leg — they pass trivially on a race-free build and light up under
+// ThreadSanitizer otherwise.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <vector>
 
 #include "src/ann/adaptive_lsh.hpp"
-#include "src/ann/qalsh.hpp"
 #include "src/cache/approx_cache.hpp"
 #include "src/edge/edge_cache.hpp"
 #include "src/util/rng.hpp"
@@ -39,17 +39,6 @@ ApproxCacheConfig test_config(IndexKind index, std::size_t capacity = 512) {
   return cfg;
 }
 
-// Packs `count` fresh random unit vectors row-major, as lookup_batch wants.
-std::vector<float> pack_queries(Rng& rng, std::size_t count) {
-  std::vector<float> flat;
-  flat.reserve(count * kDim);
-  for (std::size_t i = 0; i < count; ++i) {
-    const FeatureVec v = random_unit(rng);
-    flat.insert(flat.end(), v.begin(), v.end());
-  }
-  return flat;
-}
-
 void fill_cache(ApproxCache& cache, Rng& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     cache.insert(random_unit(rng), static_cast<Label>(i % 16), 0.9f,
@@ -57,166 +46,11 @@ void fill_cache(ApproxCache& cache, Rng& rng, std::size_t n) {
   }
 }
 
-// ------------------------------------------------------ Batch == single
-
-struct ParityCase {
-  const char* name;
-  ApproxCacheConfig cfg;
-};
-
-std::vector<ParityCase> parity_cases() {
-  ApproxCacheConfig q8 = test_config(IndexKind::kAdaptiveLsh);
-  q8.alsh.lsh.quantize.enabled = true;
-  return {{"exact", test_config(IndexKind::kExact)},
-          {"lsh", test_config(IndexKind::kLsh)},
-          {"adaptive-lsh", test_config(IndexKind::kAdaptiveLsh)},
-          {"qalsh", test_config(IndexKind::kQalsh)},
-          {"q8", q8}};
-}
-
-// The state the fold's index hook tunes: A-LSH's bucket width, QALSH's
-// start radius (0 for the backends without a controller).
-float controller_state(const ApproxCache& cache) {
-  if (const auto* alsh =
-          dynamic_cast<const AdaptiveLshIndex*>(&cache.index())) {
-    return alsh->current_width();
-  }
-  if (const auto* qalsh = dynamic_cast<const QalshIndex*>(&cache.index())) {
-    return qalsh->start_radius();
-  }
-  return 0.0f;
-}
-
-// lookup() is a batch of one plus an immediate fold: on twin caches, one
-// driven by lookup() and one by lookup_batch(count = 1) + fold_scratch(),
-// every result, counter, entry touch and controller state must agree after
-// every query — for every backend, including the self-tuning ones whose
-// controllers the fold feeds.
-TEST(BatchParity, BatchMatchesSingleLookup) {
-  for (const ParityCase& c : parity_cases()) {
-    SCOPED_TRACE(c.name);
-    ApproxCache single{kDim, c.cfg, make_lru_policy()};
-    ApproxCache batched{kDim, c.cfg, make_lru_policy()};
-    Rng rng{7};
-    std::vector<FeatureVec> stored;
-    for (std::size_t i = 0; i < 256; ++i) {
-      stored.push_back(random_unit(rng));
-      single.insert(stored.back(), static_cast<Label>(i % 16), 0.9f,
-                    static_cast<SimTime>(i));
-      batched.insert(stored.back(), static_cast<Label>(i % 16), 0.9f,
-                     static_cast<SimTime>(i));
-    }
-    const float initial_state = controller_state(single);
-
-    CacheQueryScratch scratch = batched.make_scratch();
-    std::vector<CacheResult> out(1);
-    constexpr std::size_t kQueries = 96;
-    for (std::size_t i = 0; i < kQueries; ++i) {
-      // Perturbed stored vectors (hits) interleaved with fresh ones.
-      FeatureVec q = random_unit(rng);
-      if (i % 2 == 0) {
-        q = stored[(i * 37) % stored.size()];
-        q[0] += 0.01f;
-        normalize(q);
-      }
-      const SimTime now = static_cast<SimTime>(1000 + i);
-      const CacheResult a = single.lookup({.features = q, .now = now});
-      batched.lookup_batch({.features = q, .count = 1, .now = now}, out,
-                           scratch);
-      batched.fold_scratch(scratch);
-      const CacheResult& b = out[0];
-      ASSERT_EQ(a.vote.has_value(), b.vote.has_value()) << "query " << i;
-      if (a.vote.has_value()) {
-        EXPECT_EQ(a.vote->label, b.vote->label);
-        EXPECT_EQ(a.vote->voters, b.vote->voters);
-        EXPECT_EQ(a.vote->homogeneity, b.vote->homogeneity);
-        EXPECT_EQ(a.vote->nearest_distance, b.vote->nearest_distance);
-      }
-      EXPECT_EQ(a.candidates, b.candidates) << "query " << i;
-      EXPECT_EQ(a.latency, b.latency) << "query " << i;
-      ASSERT_EQ(controller_state(single), controller_state(batched))
-          << "query " << i;
-    }
-
-    EXPECT_GT(single.counters().get("hit"), 0u);
-    EXPECT_GT(single.counters().get("miss"), 0u);
-    EXPECT_EQ(single.counters().get("hit"), batched.counters().get("hit"));
-    EXPECT_EQ(single.counters().get("miss"), batched.counters().get("miss"));
-    single.for_each([&batched](const CacheEntry& e) {
-      const CacheEntry* twin = batched.find(e.id);
-      ASSERT_NE(twin, nullptr);
-      EXPECT_EQ(e.access_count, twin->access_count) << "entry " << e.id;
-      EXPECT_EQ(e.last_access, twin->last_access) << "entry " << e.id;
-    });
-    // The self-tuning backends' controllers really were fed.
-    if (dynamic_cast<const AdaptiveLshIndex*>(&single.index()) != nullptr ||
-        dynamic_cast<const QalshIndex*>(&single.index()) != nullptr) {
-      EXPECT_NE(controller_state(single), initial_state);
-    }
-  }
-}
-
-TEST(BatchParity, BatchIsDeterministicAcrossRuns) {
-  ApproxCache cache{kDim, test_config(IndexKind::kAdaptiveLsh),
-                    make_lru_policy()};
-  Rng rng{11};
-  fill_cache(cache, rng, 256);
-  constexpr std::size_t kQueries = 32;
-  const std::vector<float> flat = pack_queries(rng, kQueries);
-  const CacheQuery q{.features = flat, .count = kQueries, .now = 5};
-
-  CacheQueryScratch s1 = cache.make_scratch();
-  CacheQueryScratch s2 = cache.make_scratch();
-  std::vector<CacheResult> a(kQueries), b(kQueries);
-  cache.lookup_batch(q, a, s1);
-  cache.lookup_batch(q, b, s2);  // no fold between: tables unchanged
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    ASSERT_EQ(a[i].vote.has_value(), b[i].vote.has_value());
-    if (a[i].vote.has_value()) {
-      EXPECT_EQ(a[i].vote->label, b[i].vote->label);
-    }
-    EXPECT_EQ(a[i].candidates, b[i].candidates);
-  }
-}
-
-// ------------------------------------------------------ Fold semantics
-
-TEST(FoldScratch, SideEffectsDeferredUntilFold) {
-  ApproxCache cache{kDim, test_config(IndexKind::kExact), make_lru_policy()};
-  Rng rng{3};
-  const FeatureVec hot = random_unit(rng);
-  const VecId id = cache.insert(hot, 1, 0.9f, 0);
-
-  CacheQueryScratch scratch = cache.make_scratch();
-  std::vector<CacheResult> out(1);
-  cache.lookup_batch({.features = hot, .count = 1, .now = 500}, out, scratch);
-  ASSERT_TRUE(out[0].vote.has_value());
-
-  // Nothing visible yet: counters untouched, entry untouched.
-  EXPECT_EQ(cache.counters().get("hit"), 0u);
-  EXPECT_EQ(cache.find(id)->access_count, 0u);
-  EXPECT_EQ(scratch.pending_lookups(), 1u);
-  EXPECT_EQ(scratch.pending_hits(), 1u);
-
-  cache.fold_scratch(scratch);
-  EXPECT_EQ(cache.counters().get("hit"), 1u);
-  EXPECT_EQ(cache.find(id)->access_count, 1u);
-  EXPECT_EQ(cache.find(id)->last_access, 500);
-  EXPECT_EQ(scratch.pending_lookups(), 0u);
-  EXPECT_EQ(scratch.pending_hits(), 0u);
-
-  // A miss folds into the miss counter.
-  FeatureVec far(kDim, 0.0f);
-  far[kDim - 1] = 1.0f;
-  cache.lookup_batch({.features = far, .count = 1, .now = 600}, out, scratch);
-  EXPECT_FALSE(out[0].vote.has_value());
-  cache.fold_scratch(scratch);
-  EXPECT_EQ(cache.counters().get("miss"), 1u);
-}
+// ------------------------------------------------------ Lookup fold
 
 TEST(FoldScratch, FeedsAdaptiveWidthController) {
-  // Start with a bucket width wildly off target so a single fold's worth of
-  // d_k samples crosses the rebuild tolerance.
+  // Start with a bucket width wildly off target so a few lookups' worth of
+  // d_k samples cross the rebuild tolerance.
   ApproxCacheConfig cfg = test_config(IndexKind::kAdaptiveLsh);
   cfg.alsh.lsh.bucket_width = 64.0f;
   cfg.alsh.width_factor = 8.0f;
@@ -231,106 +65,23 @@ TEST(FoldScratch, FeedsAdaptiveWidthController) {
   ASSERT_EQ(alsh->rebuild_count(), 0u);
 
   constexpr std::size_t kQueries = 16;
-  const std::vector<float> flat = pack_queries(rng, kQueries);
-  CacheQueryScratch scratch = cache.make_scratch();
-  std::vector<CacheResult> out(kQueries);
-  cache.lookup_batch({.features = flat, .count = kQueries, .now = 1},
-                     out, scratch);
-  cache.fold_scratch(scratch);
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    (void)cache.lookup({.features = random_unit(rng), .now = 1});
+  }
 
   // Unit vectors are never farther than 2 apart, so the EMA lands near 1-2
-  // and the 64.0 width triggers a rebuild at fold time.
+  // and the 64.0 width triggers a rebuild inside a lookup's fold.
   EXPECT_GE(alsh->rebuild_count(), 1u);
   EXPECT_LT(alsh->current_width(), 64.0f);
 }
 
-// ------------------------------------------------------ API validation
-
-TEST(BatchApi, BadSizesThrow) {
-  ApproxCache cache{kDim, test_config(IndexKind::kExact), make_lru_policy()};
-  Rng rng{5};
-  const std::vector<float> flat = pack_queries(rng, 4);
-  CacheQueryScratch scratch = cache.make_scratch();
-  std::vector<CacheResult> out(4);
-
-  // count disagrees with features.size().
-  EXPECT_THROW(cache.lookup_batch({.features = flat, .count = 3}, out,
-                                  scratch),
-               std::invalid_argument);
-  // results span too small.
-  std::vector<CacheResult> tiny(2);
-  EXPECT_THROW(cache.lookup_batch({.features = flat, .count = 4}, tiny,
-                                  scratch),
-               std::invalid_argument);
-  // Single-frame entry points reject multi-frame requests.
-  EXPECT_THROW((void)cache.lookup({.features = flat, .count = 4}),
-               std::invalid_argument);
-  EXPECT_THROW((void)cache.peek_vote({.features = flat, .count = 4}),
-               std::invalid_argument);
-  // An empty batch is a no-op, not an error.
-  cache.lookup_batch({.features = {}, .count = 0}, out, scratch);
-}
-
-// ------------------------------------------------- Readers vs readers
-
-void many_readers_see_identical_results(IndexKind kind) {
-  ApproxCache cache{kDim, test_config(kind), make_lru_policy()};
-  Rng rng{23};
-  fill_cache(cache, rng, 256);
-  constexpr std::size_t kQueries = 128;
-  const std::vector<float> flat = pack_queries(rng, kQueries);
-  const CacheQuery q{.features = flat, .count = kQueries, .now = 9};
-
-  // Sequential reference.
-  CacheQueryScratch ref_scratch = cache.make_scratch();
-  std::vector<CacheResult> reference(kQueries);
-  cache.lookup_batch(q, reference, ref_scratch);
-
-  constexpr int kThreads = 8;
-  std::vector<std::vector<CacheResult>> per_thread(
-      kThreads, std::vector<CacheResult>(kQueries));
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &q, &per_thread, t] {
-      CacheQueryScratch scratch = cache.make_scratch();
-      for (int round = 0; round < 4; ++round) {
-        cache.lookup_batch(q, per_thread[static_cast<std::size_t>(t)],
-                           scratch);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  for (int t = 0; t < kThreads; ++t) {
-    for (std::size_t i = 0; i < kQueries; ++i) {
-      const CacheResult& got = per_thread[static_cast<std::size_t>(t)][i];
-      ASSERT_EQ(got.vote.has_value(), reference[i].vote.has_value())
-          << "thread " << t << " query " << i;
-      if (reference[i].vote.has_value()) {
-        EXPECT_EQ(got.vote->label, reference[i].vote->label);
-      }
-      EXPECT_EQ(got.candidates, reference[i].candidates);
-    }
-  }
-}
-
-TEST(ConcurrentReads, ManyReadersSeeIdenticalResults) {
-  many_readers_see_identical_results(IndexKind::kLsh);
-}
-
-TEST(ConcurrentReads, QalshManyReadersSeeIdenticalResults) {
-  many_readers_see_identical_results(IndexKind::kQalsh);
-}
-
-// A-LSH's query path is read-only too: its width controller learns only at
-// fold time, under the exclusive lock.
-TEST(ConcurrentReads, AdaptiveLshManyReadersSeeIdenticalResults) {
-  many_readers_see_identical_results(IndexKind::kAdaptiveLsh);
-}
-
 // ------------------------------------------------- Readers vs writer
 
+// N reader threads drive every locked read entry point — lookup, peek_vote,
+// nearest_distance, find, size, for_each, entries_since — while one writer
+// inserts, removes and clears. Each lookup folds its side effects (touches,
+// hit/miss, the index hook, which may rebuild A-LSH tables) under the same
+// lock the writer takes.
 void readers_survive_writer_churn(IndexKind kind) {
   ApproxCacheConfig cfg = test_config(kind, /*capacity=*/256);
   ApproxCache cache{kDim, cfg, make_lru_policy()};
@@ -346,23 +97,30 @@ void readers_survive_writer_churn(IndexKind kind) {
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&cache, &stop, &total_lookups, t] {
       Rng rng{100 + static_cast<std::uint64_t>(t)};
-      CacheQueryScratch scratch = cache.make_scratch();
-      constexpr std::size_t kBatch = 16;
-      std::vector<CacheResult> out(kBatch);
       std::uint64_t done = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        const std::vector<float> flat = pack_queries(rng, kBatch);
-        cache.lookup_batch(
-            {.features = flat, .count = kBatch, .now = 1}, out, scratch);
-        for (const CacheResult& r : out) {
+        const FeatureVec q = random_unit(rng);
+        const double dice = rng.uniform();
+        if (dice < 0.6) {
+          const CacheResult r = cache.lookup({.features = q, .now = 1});
           // Latency always includes the base cost; a torn read of the
           // entry map or index arenas would break this (and TSan barks).
           EXPECT_GE(r.latency, cache.config().lookup_base_latency);
+          ++done;
+        } else if (dice < 0.7) {
+          (void)cache.peek_vote({.features = q});
+        } else if (dice < 0.8) {
+          (void)cache.nearest_distance(q);
+        } else if (dice < 0.9) {
+          (void)cache.find(rng.uniform_u64(512));
+          EXPECT_LE(cache.size(), cache.capacity());
+        } else {
+          std::size_t n = 0;
+          cache.for_each([&n](const CacheEntry&) { ++n; });
+          EXPECT_LE(n, cache.capacity());
+          (void)cache.entries_since(0);
         }
-        done += kBatch;
-        if ((done & 0xff) == 0) cache.fold_scratch(scratch);
       }
-      cache.fold_scratch(scratch);
       total_lookups.fetch_add(done, std::memory_order_relaxed);
     });
   }
@@ -392,69 +150,33 @@ void readers_survive_writer_churn(IndexKind kind) {
 
   EXPECT_LE(cache.size(), cfg.capacity);
   EXPECT_GT(total_lookups.load(), 0u);
-  // Folded tallies landed: hits + misses == lookups answered.
+  // Only lookups tally: hits + misses == lookups answered.
   EXPECT_EQ(cache.counters().get("hit") + cache.counters().get("miss"),
             total_lookups.load());
+  // Still serves queries after the churn.
+  const CacheResult r = cache.lookup({.features = random_unit(seed_rng)});
+  EXPECT_GE(r.latency, cfg.lookup_base_latency);
 }
 
 TEST(ConcurrentReadWrite, ReadersSurviveWriterChurn) {
   readers_survive_writer_churn(IndexKind::kLsh);
 }
 
-// The QALSH read path walks sorted lines, pending tails, and the alive
-// bitmap that insert/remove/compact mutate — the TSan leg proves the
-// reader-writer split covers all of them.
+TEST(ConcurrentReadWrite, ExactReadersSurviveWriterChurn) {
+  readers_survive_writer_churn(IndexKind::kExact);
+}
+
+// The QALSH query path walks sorted lines, pending tails, and the alive
+// bitmap that insert/remove/compact mutate — the TSan leg proves the one
+// lock covers all of them.
 TEST(ConcurrentReadWrite, QalshReadersSurviveWriterChurn) {
   readers_survive_writer_churn(IndexKind::kQalsh);
 }
 
-// The readers' periodic folds feed A-LSH's width controller, which may
-// rebuild every table while other readers wait on the shared lock.
+// Every lookup's fold feeds A-LSH's width controller, which may rebuild
+// every table while other readers wait on the lock.
 TEST(ConcurrentReadWrite, AdaptiveLshReadersSurviveWriterChurn) {
   readers_survive_writer_churn(IndexKind::kAdaptiveLsh);
-}
-
-TEST(ConcurrentReadWrite, SharedReadSurfaceDuringBatches) {
-  // find/for_each/entries_since/size share the read lock with lookup_batch;
-  // hammer them together against a writer.
-  ApproxCache cache{kDim, test_config(IndexKind::kExact, 128),
-                    make_lru_policy()};
-  Rng seed_rng{41};
-  fill_cache(cache, seed_rng, 64);
-
-  std::atomic<bool> stop{false};
-  std::thread batcher([&cache, &stop] {
-    Rng rng{1};
-    CacheQueryScratch scratch = cache.make_scratch();
-    std::vector<CacheResult> out(8);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::vector<float> flat = pack_queries(rng, 8);
-      cache.lookup_batch({.features = flat, .count = 8}, out, scratch);
-    }
-  });
-  std::thread scanner([&cache, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      std::size_t n = 0;
-      cache.for_each([&n](const CacheEntry&) { ++n; });
-      EXPECT_LE(n, cache.capacity());
-      (void)cache.entries_since(0);
-      (void)cache.size();
-      (void)cache.find(1);
-    }
-  });
-  std::thread writer([&cache, &stop] {
-    Rng rng{2};
-    for (int op = 0; op < 2000; ++op) {
-      cache.insert(random_unit(rng), static_cast<Label>(op % 8), 0.9f,
-                   static_cast<SimTime>(op));
-    }
-    stop.store(true, std::memory_order_relaxed);
-  });
-
-  writer.join();
-  batcher.join();
-  scanner.join();
-  EXPECT_LE(cache.size(), cache.capacity());
 }
 
 // ------------------------------------------------------- Edge service

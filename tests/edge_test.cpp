@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -105,6 +106,65 @@ TEST(EdgeShards, ConstructorRejectsInvalidParams) {
     p.error_budget = 1.5f;
     EXPECT_THROW(EdgeCacheService(kDim, p), std::invalid_argument);
   }
+}
+
+// A bad key is rejected before the feed is counted.
+TEST(EdgeShards, FeedRejectsBadKeyBeforeCounting) {
+  EdgeParams p = exact_params();
+  p.error_budget = 1.0f;
+  EdgeCacheService svc{kDim, p};
+  EXPECT_THROW((void)svc.feed(FeatureVec(kDim + 1, 0.5f), 1, 0.9f, 0),
+               std::invalid_argument);
+  FeatureVec nan_key = axis(0);
+  nan_key[1] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW((void)svc.feed(nan_key, 1, 0.9f, 0), std::invalid_argument);
+  EXPECT_EQ(svc.counters().get("feed"), 0u);
+  EXPECT_EQ(svc.size(), 0u);
+}
+
+// A lookup request whose query decodes with a non-finite component (a
+// bit-flipped payload) counts as a bad message and is answered with no
+// vote; it never reaches a shard's lookup.
+TEST(EdgeNetwork, NonFiniteLookupRequestIsBadMessage) {
+  EventSimulator sim;
+  MediumParams lossless;
+  lossless.loss_prob = 0.0;
+  WirelessMedium medium{sim, lossless, /*seed=*/3};
+  EdgeParams p;
+  p.shards = 2;
+  p.error_budget = 1.0f;
+  EdgeCacheService svc{kDim, p};
+  svc.attach_network(sim, medium);
+  svc.start();
+  ASSERT_TRUE(svc.feed(axis(0), 1, 0.9f, sim.now()));
+
+  std::vector<EdgeLookupResponseMsg> replies;
+  const NodeId device = medium.add_node(
+      [&replies](NodeId, const std::vector<std::uint8_t>& payload) {
+        if (peek_type(payload) == MsgType::kEdgeLookupResponse) {
+          replies.push_back(decode_edge_lookup_response(payload));
+        }
+      });
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    EdgeLookupRequestMsg req;
+    req.request_id = replies.size() + 1;
+    req.sender = device;
+    req.query = axis(0);
+    req.query[3] = bad;
+    medium.unicast(device, svc.id(), encode(req));
+  }
+  sim.run_until(sim.now() + kSecond);
+
+  EXPECT_EQ(svc.counters().get("bad_message"), 2u);
+  EXPECT_EQ(svc.counters().get("lookup"), 0u);
+  for (std::size_t s = 0; s < p.shards; ++s) {
+    EXPECT_EQ(svc.shard(s).counters().get("hit"), 0u);
+    EXPECT_EQ(svc.shard(s).counters().get("miss"), 0u);
+  }
+  ASSERT_EQ(replies.size(), 2u);
+  for (const EdgeLookupResponseMsg& r : replies) EXPECT_FALSE(r.has_vote);
+  svc.stop();
 }
 
 // ---------------------------------------------------------------- admission

@@ -345,11 +345,11 @@ TEST_P(CacheFuzz, QuantizedSnapshotKeepsCodesCoherentWithFloats) {
 }
 
 TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
-  // Randomized schedule of the concurrent API: batched readers (each with
-  // its own scratch, folding at random points) race a writer running the
-  // same insert/remove/lookup mix as the sequential fuzz above. Invariants
-  // after the dust settles: capacity respected, folded hit+miss tallies
-  // equal the lookups answered, and the cache still answers queries.
+  // Randomized schedule of the concurrent API: readers mixing lookup,
+  // peek_vote and nearest_distance race a writer running the same
+  // insert/remove/lookup mix as the sequential fuzz above. Invariants
+  // after the dust settles: capacity respected, hit+miss tallies cover the
+  // lookups answered, and the cache still answers queries.
   const std::uint64_t schedule = GetParam();
   ApproxCacheConfig cfg;
   cfg.capacity = 48;
@@ -368,21 +368,19 @@ TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&cache, &stop, &answered, schedule, t] {
       Rng rng{schedule ^ (0xbeefULL + static_cast<std::uint64_t>(t))};
-      CacheQueryScratch scratch = cache.make_scratch();
-      std::vector<CacheResult> out(8);
       std::uint64_t done = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        std::vector<float> flat;
-        for (int i = 0; i < 8; ++i) {
-          const FeatureVec v = random_unit(rng, 8);
-          flat.insert(flat.end(), v.begin(), v.end());
+        const FeatureVec v = random_unit(rng, 8);
+        const double dice = rng.uniform();
+        if (dice < 0.8) {
+          (void)cache.lookup({.features = v, .now = 1});
+          ++done;
+        } else if (dice < 0.9) {
+          (void)cache.peek_vote({.features = v});
+        } else {
+          (void)cache.nearest_distance(v);
         }
-        cache.lookup_batch({.features = flat, .count = 8, .now = 1}, out,
-                           scratch);
-        done += 8;
-        if (rng.chance(0.1)) cache.fold_scratch(scratch);
       }
-      cache.fold_scratch(scratch);
       answered.fetch_add(done, std::memory_order_relaxed);
     });
   }
@@ -411,17 +409,14 @@ TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
   for (auto& th : readers) th.join();
 
   EXPECT_LE(cache.size(), cfg.capacity);
-  // Writer-side single-frame lookups also tally hit/miss, so the folded
-  // batched tallies are a lower bound on the total.
+  // Writer-side lookups also tally hit/miss, so the readers' lookups are
+  // a lower bound on the total.
   EXPECT_GE(cache.counters().get("hit") + cache.counters().get("miss"),
             answered.load());
   // Still serves queries after the churn.
-  CacheQueryScratch scratch = cache.make_scratch();
-  std::vector<CacheResult> out(1);
   const FeatureVec probe = random_unit(seed_rng, 8);
-  cache.lookup_batch({.features = probe, .count = 1, .now = 9999}, out,
-                     scratch);
-  EXPECT_GE(out[0].latency, cfg.lookup_base_latency);
+  const CacheResult out = cache.lookup({.features = probe, .now = 9999});
+  EXPECT_GE(out.latency, cfg.lookup_base_latency);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzz, ::testing::Values(10u, 20u, 30u));

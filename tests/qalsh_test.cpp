@@ -1,8 +1,8 @@
 // QalshIndex unit tests: scheme derivation from the guarantee parameters,
 // empirical recall against the paper's 1/2 - 1/e success bound, line
-// maintenance (amortized merges, tombstone compaction, slot reuse),
-// batch-vs-single parity, the zero-allocation steady state of the query
-// hot path, quantized-scan composition, and deterministic metric exports.
+// maintenance (amortized merges, tombstone compaction, slot reuse), the
+// zero-allocation steady state of the query hot path, quantized-scan
+// composition, and deterministic metric exports.
 
 #include <gtest/gtest.h>
 
@@ -279,52 +279,6 @@ TEST(QalshMaintenance, MergeCompactAndSlotReuseStayCoherent) {
   }
 }
 
-// ----------------------------------------------------- batch == single
-
-TEST(QalshBatch, BatchMatchesSingleExactly) {
-  constexpr std::size_t kDim = 16;
-  constexpr std::size_t kQueries = 48;
-  QalshIndex index{kDim, QalshParams{}};
-  Rng rng{55};
-  for (VecId id = 0; id < 400; ++id) {
-    index.insert(id, cluster_point(id % 24, kDim, rng));
-  }
-  std::vector<float> flat;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    const FeatureVec v = cluster_point(q % 24, kDim, rng);
-    flat.insert(flat.end(), v.begin(), v.end());
-  }
-  auto scratch = index.make_scratch();
-  std::vector<std::vector<Neighbor>> batched(kQueries);
-  std::vector<QueryStats> batched_stats(kQueries);
-  index.query_batch_into(flat, kQueries, 4, scratch.get(), batched,
-                         batched_stats.data());
-  std::vector<Neighbor> single;
-  QueryStats st;
-  for (std::size_t q = 0; q < kQueries; ++q) {
-    const std::span<const float> query{flat.data() + q * kDim, kDim};
-    index.query_into(query, 4, single, &st);
-    ASSERT_EQ(batched[q].size(), single.size()) << "query " << q;
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batched[q][i].id, single[i].id) << "query " << q;
-      EXPECT_EQ(batched[q][i].distance, single[i].distance) << "query " << q;
-    }
-    EXPECT_EQ(batched_stats[q].candidates, st.candidates);
-    EXPECT_EQ(batched_stats[q].rounds, st.rounds);
-  }
-}
-
-TEST(QalshBatch, ForeignScratchThrows) {
-  QalshIndex index{8, QalshParams{}};
-  Rng rng{2};
-  index.insert(0, random_unit(rng, 8));
-  const std::vector<float> flat(8, 0.1f);
-  std::vector<std::vector<Neighbor>> results(1);
-  EXPECT_THROW(
-      index.query_batch_into(flat, 1, 2, nullptr, results, nullptr),
-      std::invalid_argument);
-}
-
 // ------------------------------------------------------ radius controller
 
 TEST(QalshController, FeedbackRaisesStartRadiusAndPreservesRecall) {
@@ -381,7 +335,7 @@ TEST(QalshController, FeedbackRaisesStartRadiusAndPreservesRecall) {
 }
 
 // The `local(qalsh)` rung's cache feeds the radius controller on every
-// lookup (a batch of one plus an immediate fold), so the sweep stops
+// lookup (its fold calls the index hook), so the sweep stops
 // starting from r0 once real traffic has been seen.
 TEST(QalshController, LocalCacheLookupsMoveStartRadiusOffR0) {
   constexpr std::size_t kDim = 16;
@@ -483,8 +437,8 @@ TEST(QalshMetrics, RegistersWholeSubsystemAndCountsStops) {
   std::vector<Neighbor> out;
   QueryStats st;
   for (std::size_t q = 0; q < kQueries; ++q) {
-    // A cache lookup's index traffic: a batch of one, folded at once. The
-    // instruments are recorded by the fold-time hook, not the query.
+    // A cache lookup's index traffic: one query, then the index hook. The
+    // instruments are recorded by the hook, not the query.
     index.query_into(random_unit(rng, 8), 4, out, &st);
     index.observe_queries({&st, 1});
   }

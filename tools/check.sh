@@ -11,7 +11,7 @@
 #
 # The tsan leg covers the code that can actually race: ThreadPool, the
 # parallel simulation runner, pool-backed MiniCnn batch embedding, and the
-# concurrent shared-cache suite (readers vs writer over one ApproxCache,
+# shared-cache suite (readers vs writer over one locked ApproxCache, exact,
 # p-stable, A-LSH and QALSH backends).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,33 +129,6 @@ validate_metrics build-release/metrics_qalsh.json
 grep -q 'ann/qalsh/rounds' build-release/metrics_qalsh.json
 grep -q 'ann/qalsh/c1_stop' build-release/metrics_qalsh.json
 
-# M4 concurrent-bench smoke: a shrunk run of the shared-cache bench, its
-# JSON validated against the committed BENCH_concurrent.json schema.
-cmake --build --preset release -j --target bench_m4_concurrent
-./build-release/bench/bench_m4_concurrent --smoke \
-  build-release/BENCH_concurrent_smoke.json
-python3 - build-release/BENCH_concurrent_smoke.json BENCH_concurrent.json <<'PY'
-import json, sys
-smoke = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-for doc, name in ((smoke, "smoke"), (committed, "committed")):
-    for key in ("bench", "dim", "entries", "metrics", "extras"):
-        assert key in doc, f"{name}: missing {key}"
-    assert doc["bench"] == "m4_concurrent", doc["bench"]
-    for metric, fields in doc["metrics"].items():
-        for f in ("base_ns_op", "new_ns_op", "speedup"):
-            assert f in fields, f"{name}: {metric} missing {f}"
-        assert fields["new_ns_op"] > 0, f"{name}: {metric} empty measurement"
-# The smoke run must produce the same metric/extra keys the committed
-# exhibit carries (modulo nothing: schema drift fails the build).
-assert set(smoke["metrics"]) == set(committed["metrics"]), (
-    set(smoke["metrics"]) ^ set(committed["metrics"]))
-assert set(smoke["extras"]) == set(committed["extras"]), (
-    set(smoke["extras"]) ^ set(committed["extras"]))
-print(f"bench_m4 schema ok: {len(smoke['metrics'])} metrics, "
-      f"{len(smoke['extras'])} extras")
-PY
-
 # M5 regions-bench smoke: a shrunk run of the splice-vs-full sweep (the
 # binary itself asserts bit-identity every iteration), its JSON validated
 # against the committed BENCH_regions.json schema.
@@ -209,23 +182,16 @@ if [[ "${1:-}" == "sanitize" ]]; then
   cmake --build --preset tsan -j
   ./build-tsan/tests/hotpath_test \
     --gtest_filter='ThreadPoolTest.*:ParallelRunner.*:MiniCnnParallel.*'
-  # The shared-cache concurrency suite: batched readers vs writers over one
-  # ApproxCache for the p-stable, A-LSH and QALSH backends (A-LSH's fold-
-  # time rebuilds race the readers' shared lock; QALSH's sorted lines and
-  # pending tails race its writer), plus the randomized concurrent fuzz
-  # schedules and the EdgeConcurrent query/feed/sweep hammer on one
-  # EdgeCacheService.
+  # The shared-cache concurrency suite: readers (lookup, peek_vote,
+  # nearest_distance, find, for_each, ...) vs a writer over one locked
+  # ApproxCache for the exact, p-stable, A-LSH and QALSH backends (A-LSH's
+  # in-lookup rebuilds and QALSH's sorted lines and pending tails race the
+  # writer without the lock), plus the randomized concurrent fuzz schedules
+  # and the EdgeConcurrent query/feed/sweep hammer on one EdgeCacheService.
   ./build-tsan/tests/concurrent_test
   ./build-tsan/tests/property_test \
     --gtest_filter='*ConcurrentBatchedReaders*'
   # The edge tier suite: sharded service + admission + TTL sweeps.
   ./build-tsan/tests/edge_test
-  # A shrunk bench_m4 under tsan: real 32-thread contention on the shared
-  # cache, with the sanitizer watching (the preset builds no benches, so
-  # flip the switch for this one target).
-  cmake --preset tsan -DAPX_BUILD_BENCH=ON
-  cmake --build --preset tsan -j --target bench_m4_concurrent
-  ./build-tsan/bench/bench_m4_concurrent --smoke \
-    build-tsan/BENCH_concurrent_smoke.json
 fi
 echo "check.sh: all green"
