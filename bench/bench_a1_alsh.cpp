@@ -212,19 +212,15 @@ int main(int argc, char** argv) {
                       probe(index, gt, queries)});
     }
 
-    char size_label[16];
-    if (size % 1'000'000 == 0) {
-      std::snprintf(size_label, sizeof(size_label), "%zuM",
-                    size / 1'000'000);
-    } else {
-      std::snprintf(size_label, sizeof(size_label), "%zuk", size / 1'000);
-    }
+    const std::string size_label =
+        size % 1'000'000 == 0 ? std::to_string(size / 1'000'000) + "M"
+                              : std::to_string(size / 1'000) + "k";
     for (const Row& row : rows) {
       table.row({size_label, row.name, TextTable::num(row.f.recall, 3),
                  TextTable::num(row.f.p50_ns / 1000.0, 1),
                  TextTable::num(row.f.p99_ns / 1000.0, 1),
                  TextTable::num(row.f.mean_candidates, 1)});
-      json.extra(std::string(size_label) + "_" + row.name + "_recall",
+      json.extra(size_label + "_" + row.name + "_recall",
                  row.f.recall);
     }
     const Row* pstable =
@@ -232,15 +228,15 @@ int main(int argc, char** argv) {
     const Row* qalsh = best_at_recall(rows, Row::Family::kQalsh, 0.95);
     const Row* alsh = best_at_recall(rows, Row::Family::kAdaptive, 0.95);
     if (pstable != nullptr && qalsh != nullptr) {
-      json.metric(std::string("p50_at_recall95_") + size_label,
+      json.metric("p50_at_recall95_" + size_label,
                   pstable->f.p50_ns, qalsh->f.p50_ns);
-      json.extra(std::string(size_label) + "_pstable_pick_recall",
+      json.extra(size_label + "_pstable_pick_recall",
                  pstable->f.recall);
-      json.extra(std::string(size_label) + "_qalsh_pick_recall",
+      json.extra(size_label + "_qalsh_pick_recall",
                  qalsh->f.recall);
     }
     if (alsh != nullptr) {
-      json.extra(std::string(size_label) + "_alsh_p50_ns", alsh->f.p50_ns);
+      json.extra(size_label + "_alsh_p50_ns", alsh->f.p50_ns);
     }
   }
 

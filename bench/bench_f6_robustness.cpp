@@ -23,17 +23,9 @@ int main() {
   // a fresh object, so reuse comes from recognition history and the P2P
   // contribution is large enough that losing it is visible.
   auto churny = [] {
-    ScenarioConfig cfg = evaluation_scenario();
-    cfg.scene.num_classes = 192;
+    ScenarioConfig cfg = photo_app_scenario();
     cfg.zipf_s = 1.0;
     cfg.duration = 120 * kSecond;
-    cfg.video.fps = 0.5;
-    cfg.video.change_rate_stationary = 2.0;
-    cfg.video.change_rate_minor = 2.0;
-    cfg.video.change_rate_major = 2.0;
-    cfg.video.view_pan_sigma = 0.15f;
-    cfg.video.view_zoom_min = 0.95f;
-    cfg.video.view_zoom_max = 1.15f;
     cfg.model = resnet50_profile();
     cfg.num_devices = 6;
     return cfg;

@@ -35,29 +35,16 @@ int main(int argc, char** argv) {
       argc > 2 ? argv[2] : (smoke ? "BENCH_edge_smoke.json" : "BENCH_edge.json");
 
   auto workload = [&](bool churn) {
-    ScenarioConfig cfg = evaluation_scenario();
-    // Static-image workload (the abstract's other headline case): a photo
-    // app snapping a different object every couple of seconds. No temporal
-    // locality exists, so reuse must come from recognition history — own
-    // or, crucially, nearby devices'.
-    cfg.scene.num_classes = 192;
+    // The static-image photo app of F1 and F6: reuse comes only from
+    // recognition history, own or nearby devices'.
+    ScenarioConfig cfg = photo_app_scenario();
     cfg.zipf_s = 1.0;
     cfg.duration = (smoke ? 30 : 120) * kSecond;
-    cfg.video.fps = 0.5;                    // one photo per 2 s
-    cfg.video.change_rate_stationary = 2.0; // every photo: a new object
-    cfg.video.change_rate_minor = 2.0;
-    cfg.video.change_rate_major = 2.0;
     cfg.p_stationary = 0.2;
     cfg.p_minor = 0.6;
     cfg.p_major = 0.2;
     cfg.num_devices = 6;
     cfg.model = resnet50_profile();  // collaboration pays when inference is dear
-    // Co-located people physically see the same object from similar
-    // vantage points; without view overlap no feature scheme can match
-    // another device's entry.
-    cfg.video.view_pan_sigma = 0.15f;
-    cfg.video.view_zoom_min = 0.95f;
-    cfg.video.view_zoom_max = 1.15f;
     cfg.seed = 5000;
     if (churn) cfg.churn_period = 5 * kSecond;
     return cfg;

@@ -159,6 +159,25 @@ inline ScenarioConfig high_locality_scenario() {
   return cfg;
 }
 
+/// Static-image photo app (the abstract's other headline case): a fresh
+/// object in every photo, one photo per 2 s, so no temporal locality exists
+/// and reuse must come from recognition history — own or nearby devices'.
+/// Co-located people see an object from similar vantage points; without
+/// that view overlap no feature scheme could match another device's entry.
+/// Callers set popularity skew, duration, model, mobility mix and fleet.
+inline ScenarioConfig photo_app_scenario() {
+  ScenarioConfig cfg = evaluation_scenario();
+  cfg.scene.num_classes = 192;
+  cfg.video.fps = 0.5;
+  cfg.video.change_rate_stationary = 2.0;
+  cfg.video.change_rate_minor = 2.0;
+  cfg.video.change_rate_major = 2.0;
+  cfg.video.view_pan_sigma = 0.15f;
+  cfg.video.view_zoom_min = 0.95f;
+  cfg.video.view_zoom_max = 1.15f;
+  return cfg;
+}
+
 /// Runs `cfg` under `seeds` different seeds and pools the metrics.
 inline ExperimentMetrics run_seeds(ScenarioConfig cfg, int seeds = 3) {
   ExperimentMetrics pooled;

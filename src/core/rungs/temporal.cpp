@@ -42,6 +42,7 @@ void TemporalRung::on_result(ReusePipeline& host,
     case ResultSource::kPeerCacheHit:
     case ResultSource::kFullInference:
     case ResultSource::kWarmCacheHit:
+    case ResultSource::kEdgeCacheHit:
       temporal_.set_keyframe(host.frame_ctx().frame.image);
       break;
     case ResultSource::kImuFastPath:

@@ -1,16 +1,24 @@
 // Unit tests for the edge aggregation tier (src/edge): shard routing
 // determinism, the error-controlled admission gate, TTL expiry exactly at
-// the sim-clock boundary, per-shard capacity eviction, and byte-identical
-// same-seed metrics exports with the edge rung enabled.
+// the sim-clock boundary, per-shard capacity eviction, edge hits refreshing
+// the temporal keyframe, and byte-identical same-seed metrics exports with
+// the edge rung enabled.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <random>
+#include <optional>
 #include <vector>
 
+#include "src/core/pipeline.hpp"
+#include "src/dnn/oracle.hpp"
+#include "src/dnn/zoo.hpp"
 #include "src/edge/edge_cache.hpp"
+#include "src/edge/edge_client.hpp"
+#include "src/features/extractor.hpp"
+#include "src/image/scene.hpp"
 #include "src/sim/runner.hpp"
 
 namespace apx {
@@ -76,7 +84,9 @@ TEST(EdgeShards, FeedLandsInTheRoutedShard) {
   const std::size_t routed = svc.shard_of(v);
   EXPECT_EQ(svc.shard(routed).size(), 1u);
   for (std::size_t s = 0; s < svc.shard_count(); ++s) {
-    if (s != routed) EXPECT_EQ(svc.shard(s).size(), 0u);
+    if (s != routed) {
+      EXPECT_EQ(svc.shard(s).size(), 0u);
+    }
   }
   // And the query for the same key answers from that shard.
   const CacheResult res = svc.query(v, /*now=*/1);
@@ -241,6 +251,59 @@ TEST(EdgeAdmission, AdmittedEntriesCarryPeerOriginAndSource) {
     EXPECT_EQ(e.hop_count, 1u);
     EXPECT_EQ(e.source_device, 11u);
   });
+}
+
+// ------------------------------------------------------------ ladder hooks
+
+TEST(EdgeLadder, EdgeHitBecomesTheTemporalKeyframe) {
+  // No IMU rung, so the fast path cannot answer the repeated frame first:
+  // it reaches the temporal rung, which reuses only from a keyframe.
+  EventSimulator sim;
+  MediumParams lossless;
+  lossless.loss_prob = 0.0;
+  WirelessMedium medium{sim, lossless, /*seed=*/5};
+  const std::unique_ptr<FeatureExtractor> extractor =
+      make_downsample_extractor(8);
+  EdgeParams p = exact_params();
+  p.error_budget = 1.0f;
+  EdgeCacheService svc{extractor->dim(), p};
+  svc.attach_network(sim, medium);
+  svc.start();
+  EdgeClient client{sim, medium, svc.id(), p};
+  client.start();
+
+  SceneGenerator::Config scene;
+  scene.num_classes = 4;
+  scene.image_size = 24;
+  Frame frame;
+  frame.true_label = 2;
+  frame.image = SceneGenerator{scene}.render(2, ViewParams{});
+  ASSERT_TRUE(svc.feed(extractor->extract(frame.image), 2, 0.9f, sim.now()));
+
+  const std::unique_ptr<RecognitionModel> model =
+      make_oracle_model(mobilenet_v2_profile(), scene.num_classes);
+  ReusePipeline pipeline{sim,      make_ladder_config("temporal,edge,dnn"),
+                         *extractor, *model, nullptr, nullptr, nullptr,
+                         &client,  /*seed=*/3};
+  auto run_one = [&] {
+    frame.t = sim.now();
+    std::optional<RecognitionResult> out;
+    EXPECT_TRUE(pipeline.process(frame, MotionState::kMinor,
+                                 [&](const RecognitionResult& r) { out = r; }));
+    while (!out.has_value() && sim.step()) {
+    }
+    EXPECT_TRUE(out.has_value());
+    return out.value_or(RecognitionResult{});
+  };
+
+  const RecognitionResult first = run_one();
+  EXPECT_EQ(first.source, ResultSource::kEdgeCacheHit);
+  EXPECT_EQ(first.label, 2);
+  const RecognitionResult second = run_one();
+  EXPECT_EQ(second.source, ResultSource::kTemporalReuse);
+  EXPECT_EQ(second.label, 2);
+  client.stop();
+  svc.stop();
 }
 
 // --------------------------------------------------------------------- TTL

@@ -205,6 +205,7 @@ Rung answering_rung(ResultSource source) {
     case ResultSource::kPeerCacheHit: return Rung::kP2p;
     case ResultSource::kFullInference: return Rung::kDnn;
     case ResultSource::kWarmCacheHit: return Rung::kWarm;
+    case ResultSource::kEdgeCacheHit: return Rung::kEdge;
   }
   return Rung::kDnn;
 }

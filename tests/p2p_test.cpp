@@ -33,6 +33,13 @@ MediumParams lossless() {
   return p;
 }
 
+/// Runs every event up to one lookup round trip from now: the lookup
+/// timeout plus delivery slack. Discovery beacons re-arm forever, so a
+/// cluster's event queue never drains on its own.
+void settle(EventSimulator& sim, const PeerCacheParams& params = {}) {
+  sim.run_until(sim.now() + params.lookup_timeout + 100 * kMillisecond);
+}
+
 /// Two-or-more co-located peers with their caches, over a lossless medium.
 struct Cluster {
   EventSimulator sim;
@@ -80,7 +87,7 @@ TEST(PeerCache, LookupWithNoNeighborsCompletesEmpty) {
     called = true;
     EXPECT_TRUE(entries.empty());
   });
-  sim.run_all();
+  settle(sim, params);
   EXPECT_TRUE(called);
 }
 
@@ -97,7 +104,7 @@ TEST(PeerCache, RemoteHitReturnsEntries) {
                              called = true;
                              got = std::move(entries);
                            });
-  c.sim.run_all();
+  settle(c.sim, params);
   ASSERT_TRUE(called);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].label, 42);
@@ -117,7 +124,7 @@ TEST(PeerCache, LookupCompletesEarlyWhenAllRespond) {
     called = true;
     completion = c.sim.now();
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   ASSERT_TRUE(called);
   // Early completion: two round trips of a few ms, nowhere near 10 s.
   EXPECT_LT(completion, kSecond);
@@ -138,7 +145,7 @@ TEST(PeerCache, LookupTimesOutUnderTotalLoss) {
     called = true;
     EXPECT_TRUE(e.empty());
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_TRUE(called);
   EXPECT_GE(c.sim.now() - start, params.lookup_timeout);
   (void)lossy;
@@ -182,7 +189,7 @@ TEST(PeerCache, DedupRadiusPreventsDuplicateMerge) {
   c.peers[0]->async_lookup(unit_at(0.0f), [&](std::vector<WireEntry>) {
     called = true;
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_TRUE(called);
   EXPECT_EQ(c.caches[0]->size(), 1u);
   EXPECT_GE(c.peers[0]->counters().get("merge_dup"), 1u);
@@ -201,7 +208,7 @@ TEST(PeerCache, HopLimitStopsPropagation) {
     called = true;
     EXPECT_EQ(e.size(), 1u);  // still returned for this lookup...
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_TRUE(called);
   // ...but not merged into the requester's cache.
   EXPECT_EQ(c.caches[0]->size(), 0u);
@@ -221,7 +228,7 @@ TEST(PeerCache, ResponseLimitedToKEntries) {
   c.peers[0]->async_lookup(unit_at(0.0f), [&](std::vector<WireEntry> e) {
     got = e.size();
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_EQ(got, 2u);
 }
 
@@ -235,7 +242,7 @@ TEST(PeerCache, FarEntriesNotReturned) {
   c.peers[0]->async_lookup(unit_at(0.0f), [&](std::vector<WireEntry> e) {
     got = e.size();
   });
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_EQ(got, 0u);
 }
 
@@ -243,7 +250,7 @@ TEST(PeerCache, MalformedMessageCounted) {
   Cluster c{2};
   // Byte 2 is kLookupRequest's type but the body is garbage.
   c.medium.unicast(c.peers[1]->id(), c.peers[0]->id(), {2, 0xFF});
-  c.sim.run_all();
+  settle(c.sim);
   EXPECT_GE(c.peers[0]->counters().get("bad_message"), 1u);
 }
 
@@ -259,7 +266,7 @@ TEST(PeerCache, WrongDimensionEntryRejected) {
   e.label = 5;
   msg.entries.push_back(e);
   c.medium.unicast(c.peers[1]->id(), c.peers[0]->id(), encode(msg));
-  c.sim.run_all();
+  settle(c.sim, params);
   EXPECT_EQ(c.caches[0]->size(), 0u);
   EXPECT_GE(c.peers[0]->counters().get("bad_message"), 1u);
 }
@@ -280,7 +287,7 @@ TEST(PeerCache, CollaborationScalesWithPeers) {
     c.peers[0]->async_lookup(unit_at(0.0f), [&](std::vector<WireEntry> e) {
       got = e.size();
     });
-    c.sim.run_all();
+    settle(c.sim, params);
     (n == 2 ? collected_2 : collected_5) = got;
   }
   EXPECT_GT(collected_5, collected_2);

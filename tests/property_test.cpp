@@ -453,7 +453,9 @@ TEST_P(LshProperty, ResultsAlwaysValid) {
       // can never beat the exact top-1.
       for (std::size_t i = 0; i < approx.size(); ++i) {
         EXPECT_TRUE(stored.count(approx[i].id));
-        if (i > 0) EXPECT_GE(approx[i].distance, approx[i - 1].distance);
+        if (i > 0) {
+          EXPECT_GE(approx[i].distance, approx[i - 1].distance);
+        }
       }
       if (!approx.empty() && !truth.empty()) {
         EXPECT_GE(approx[0].distance, truth[0].distance - 1e-6f);

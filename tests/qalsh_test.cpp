@@ -144,7 +144,9 @@ TEST(QalshQuery, ReturnsExactSortedDistances) {
     EXPECT_NEAR(result[i].distance,
                 exact_l2(q, stored[static_cast<std::size_t>(result[i].id)]),
                 1e-4f);
-    if (i > 0) EXPECT_GE(result[i].distance, result[i - 1].distance);
+    if (i > 0) {
+      EXPECT_GE(result[i].distance, result[i - 1].distance);
+    }
   }
 }
 

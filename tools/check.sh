@@ -6,6 +6,7 @@
 #                             # + release apxsim ladder-matrix smoke check
 #                             #   (every preset + the warm-tier ladder,
 #                             #    metrics schema validated per export)
+#                             # + committed BENCH_tables.json shape check
 #   tools/check.sh sanitize   # + asan-ubsan over the whole suite
 #                             # + tsan over the concurrency tests
 #
@@ -158,6 +159,29 @@ slow = [m for m, f in committed["metrics"].items()
 assert not slow, f"committed exhibit lost the partial-hit win: {slow}"
 print(f"bench_m5 schema ok: {len(smoke['metrics'])} metrics, "
       f"{len(smoke['extras'])} extras")
+PY
+
+# The committed table pass (bench_tables, ~5 min, not rerun here): every
+# exhibit present, every row as wide as its header.
+python3 - BENCH_tables.json <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["bench"] == "tables", doc["bench"]
+ids = [ex["id"] for ex in doc["exhibits"]]
+expected = ["T1", "T2", "T3", "T4", "F1", "F2", "F3", "F4", "F5", "F9",
+            "A2", "A3", "A5"]
+assert ids == expected, f"exhibits {ids}, expected {expected}"
+tables = 0
+for ex in doc["exhibits"]:
+    assert ex["tables"], f"{ex['id']}: no tables"
+    for table in ex["tables"]:
+        tables += 1
+        assert table["rows"], f"{ex['id']} {table['title']}: no rows"
+        for row in table["rows"]:
+            assert len(row) == len(table["header"]), (
+                f"{ex['id']} {table['title']}: row {row} vs header "
+                f"{table['header']}")
+print(f"BENCH_tables ok: {len(ids)} exhibits, {tables} tables")
 PY
 
 if [[ "${1:-}" == "sanitize" ]]; then
