@@ -50,14 +50,14 @@ int main() {
     cfg.seed = 4000;
     ExperimentRunner runner{cfg};
     const ExperimentMetrics m = runner.run();
-    const Counter p2p = runner.p2p_counters();
+    const MetricsRegistry& p2p = runner.metrics();
     // Lookups whose responses were all lost pay the timeout.
-    const std::uint64_t sent = p2p.get("lookup_sent");
-    const std::uint64_t resp = p2p.get("response_recv");
+    const std::uint64_t sent = p2p.counter_value("p2p/lookup_sent");
+    const std::uint64_t resp = p2p.counter_value("p2p/response_recv");
     loss_table.row({TextTable::num(loss, 2),
                     TextTable::num(m.mean_latency_ms()),
                     TextTable::num(m.reuse_ratio(), 3),
-                    std::to_string(p2p.get("merged")),
+                    std::to_string(p2p.counter_value("p2p/merged")),
                     std::to_string(sent) + " lookups / " +
                         std::to_string(resp) + " responses"});
   }
@@ -76,7 +76,8 @@ int main() {
     churn_table.row({period == 0.0 ? "none" : TextTable::num(period, 0),
                      TextTable::num(m.mean_latency_ms()),
                      TextTable::num(m.reuse_ratio(), 3),
-                     std::to_string(runner.p2p_counters().get("merged"))});
+                     std::to_string(
+                         runner.metrics().counter_value("p2p/merged"))});
   }
   std::printf("%s\n", churn_table.render().c_str());
 

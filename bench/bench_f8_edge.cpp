@@ -170,6 +170,8 @@ int main(int argc, char** argv) {
     params.cache.hknn.max_distance = 0.3f;
     params.cache.hknn.k = 8;
     EdgeCacheService edge{kDim, params};
+    MetricsRegistry edge_metrics;
+    edge.attach_metrics(edge_metrics);
 
     Rng rng{7};
     std::size_t queries = 0, hits = 0, correct_hits = 0;
@@ -204,8 +206,9 @@ int main(int argc, char** argv) {
                        static_cast<double>(hits)
                  : 0.0;
     sweep.row({b, TextTable::num(hit_rate, 3), TextTable::num(served_acc, 4),
-               std::to_string(edge.counters().get("admit")),
-               std::to_string(edge.counters().get("reject_budget"))});
+               std::to_string(edge_metrics.counter_value("edge/srv_admit")),
+               std::to_string(
+                   edge_metrics.counter_value("edge/srv_reject_budget"))});
     json.extra(std::string("budget_") + b + "_hit_rate", hit_rate);
     json.extra(std::string("budget_") + b + "_served_accuracy", served_acc);
   }

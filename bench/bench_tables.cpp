@@ -287,7 +287,7 @@ Exhibit f1() {
     cfg.seed = 2000;
     ExperimentRunner runner{cfg};
     const ExperimentMetrics m = runner.run();
-    const Counter p2p = runner.p2p_counters();
+    const MetricsRegistry& p2p = runner.metrics();
     // "Peer-assisted" pools direct peer-cache hits with local hits on
     // entries that arrived via gossip (counted as merges).
     table.rows.push_back(
@@ -295,8 +295,8 @@ Exhibit f1() {
          TextTable::num(m.latency_quantile_ms(0.95)),
          TextTable::num(m.reuse_ratio(), 3),
          TextTable::num(m.source_fraction(ResultSource::kPeerCacheHit), 4),
-         std::to_string(p2p.get("advert_sent")),
-         std::to_string(p2p.get("merged"))});
+         std::to_string(p2p.counter_value("p2p/advert_sent")),
+         std::to_string(p2p.counter_value("p2p/merged"))});
   }
   emit(ex, std::move(table));
   note(ex, "\nNote: with gossip on, most collaboration value lands as "
@@ -385,7 +385,7 @@ Exhibit f3() {
       table.rows.push_back(
           {std::to_string(capacity), TextTable::num(m.reuse_ratio(), 3),
            TextTable::num(m.mean_latency_ms()),
-           std::to_string(runner.cache_counters().get("evict"))});
+           std::to_string(runner.metrics().counter_value("cache/evict"))});
     }
     emit(ex, std::move(table), "\n");
   }

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "src/sim/runner.hpp"
 #include "src/util/table.hpp"
@@ -80,17 +81,20 @@ int main(int argc, char** argv) {
   devices.header({"visitor", "frames", "mean ms", "reuse"});
   int id = 0;
   for (const auto& m : collaborative.device_metrics()) {
-    devices.row({"#" + std::to_string(id++),
-                 std::to_string(m.frames()),
+    std::string visitor = "#";
+    visitor += std::to_string(id++);
+    devices.row({visitor, std::to_string(m.frames()),
                  apx::TextTable::num(m.mean_latency_ms()),
                  apx::TextTable::num(m.reuse_ratio(), 3)});
   }
   std::printf("%s\n", devices.render().c_str());
 
-  const apx::Counter p2p = collaborative.p2p_counters();
+  const apx::MetricsRegistry& p2p = collaborative.metrics();
   std::printf("P2P activity: %llu lookups, %llu adverts, %llu entries merged\n",
-              static_cast<unsigned long long>(p2p.get("lookup_sent")),
-              static_cast<unsigned long long>(p2p.get("advert_sent")),
-              static_cast<unsigned long long>(p2p.get("merged")));
+              static_cast<unsigned long long>(
+                  p2p.counter_value("p2p/lookup_sent")),
+              static_cast<unsigned long long>(
+                  p2p.counter_value("p2p/advert_sent")),
+              static_cast<unsigned long long>(p2p.counter_value("p2p/merged")));
   return 0;
 }

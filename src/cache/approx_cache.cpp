@@ -107,9 +107,9 @@ CacheResult ApproxCache::lookup(const CacheQuery& q) {
         ++it->second.access_count;
       }
     }
-    counters_.inc("hit");
+    inc_if_attached(metrics_, hit_);
   } else {
-    counters_.inc("miss");
+    inc_if_attached(metrics_, miss_);
   }
   index_->observe_queries({&stats_, 1});
   return result;
@@ -144,7 +144,7 @@ VecId ApproxCache::insert(FeatureVec feature, Label label, float confidence,
   entry.source_device = source_device;
   index_->insert(id, entry.feature);
   entries_.emplace(id, std::move(entry));
-  counters_.inc("insert");
+  inc_if_attached(metrics_, insert_);
   update_memory_gauges();
   return id;
 }
@@ -163,7 +163,7 @@ void ApproxCache::clear() {
   std::lock_guard lock(mu_);
   for (const auto& [id, _] : entries_) index_->remove(id);
   entries_.clear();
-  counters_.inc("clear");
+  inc_if_attached(metrics_, clear_);
   update_memory_gauges();
 }
 
@@ -220,29 +220,28 @@ void ApproxCache::attach_metrics(MetricsRegistry& metrics) {
   lookup_us_hist_ = metrics.histogram("cache/lookup_us", latency_us_bounds());
   nearest_distance_hist_ =
       metrics.histogram("cache/nearest_distance", distance_bounds());
-  // Pre-register the counters the runner later copies from the legacy
-  // Counter map, so exports carry them (as zeros) even in empty runs and
-  // the JSON schema stays stable.
-  metrics.counter("cache/hit");
-  metrics.counter("cache/miss");
-  metrics.counter("cache/insert");
-  metrics.counter("cache/evict");
+  hit_ = metrics.counter("cache/hit");
+  miss_ = metrics.counter("cache/miss");
+  insert_ = metrics.counter("cache/insert");
+  evict_ = metrics.counter("cache/evict");
+  clear_ = metrics.counter("cache/clear");
   if (quantized_scan_) {
-    // Pre-register the feature-memory gauges so the "quantized" schema
-    // subsystem exports whole (all-or-nothing) even before any insert.
-    metrics.counter("cache/bytes_float");
-    metrics.counter("cache/bytes_codes");
+    // Registered only with the quantized scan, so the "quantized" schema
+    // subsystem exports whole (all-or-nothing) or not at all.
+    bytes_float_ = metrics.counter("cache/bytes_float");
+    bytes_codes_ = metrics.counter("cache/bytes_codes");
+    update_memory_gauges();
   }
   index_->attach_metrics(metrics);
 }
 
 void ApproxCache::update_memory_gauges() {
-  if (!quantized_scan_) return;
+  if (!quantized_scan_ || metrics_ == nullptr) return;
   // Per entry: dim float32s in the float arena vs dim uint8 codes plus
   // three float32 ADC terms (offset, scale, |recon|^2) in the sidecar.
   const std::uint64_t n = entries_.size();
-  counters_.set("bytes_float", n * dim_ * sizeof(float));
-  counters_.set("bytes_codes", n * (dim_ + 3 * sizeof(float)));
+  metrics_->set(bytes_float_, n * dim_ * sizeof(float));
+  metrics_->set(bytes_codes_, n * (dim_ + 3 * sizeof(float)));
 }
 
 VecId ApproxCache::evict_one(SimTime now) {
@@ -258,7 +257,7 @@ VecId ApproxCache::evict_one(SimTime now) {
   }
   index_->remove(victim);
   entries_.erase(victim);
-  counters_.inc("evict");
+  inc_if_attached(metrics_, evict_);
   return victim;
 }
 

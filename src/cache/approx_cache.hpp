@@ -17,9 +17,12 @@
 //  - Pointers returned by find() and references observed inside
 //    for_each() are invalidated by the next mutation; for_each's callback
 //    must not call back into the same cache (the lock is not recursive).
-//  - attach_metrics() belongs before any concurrent use, and counters()
-//    reads race concurrent callers: take a quiescent point for exact
-//    values.
+//  - attach_metrics() belongs before any concurrent use.
+//
+// Counting. The cache counts only into the MetricsRegistry it is attached
+// to: attach_metrics() registers every counter and histogram by handle,
+// each call then bumps its handles under the lock, and a cache with no
+// registry attached records nothing.
 
 #include <functional>
 #include <memory>
@@ -34,7 +37,6 @@
 #include "src/ann/index.hpp"
 #include "src/cache/entry.hpp"
 #include "src/cache/eviction.hpp"
-#include "src/util/stats.hpp"
 
 namespace apx {
 
@@ -147,10 +149,14 @@ class ApproxCache {
   /// and would invalidate any pointer/reference into it.
   std::vector<CacheEntry> entries_since(SimTime since) const;
 
-  /// Registers this cache's instruments ("cache/lookup_us",
-  /// "cache/nearest_distance", hit/miss/insert/evict counters) and the
-  /// backing index's, on `metrics`. The registry must outlive the cache.
-  /// Call before any concurrent use.
+  /// Registers this cache's instruments on `metrics` — the
+  /// "cache/lookup_us" and "cache/nearest_distance" histograms and the
+  /// "cache/hit", "cache/miss", "cache/insert", "cache/evict" and
+  /// "cache/clear" counters, plus the "cache/bytes_float" /
+  /// "cache/bytes_codes" feature-memory gauges when the quantized scan is
+  /// active — and the backing index's. Until then the cache records
+  /// nothing. The registry must outlive the cache. Call before any
+  /// concurrent use.
   void attach_metrics(MetricsRegistry& metrics);
 
   std::size_t size() const;
@@ -165,16 +171,10 @@ class ApproxCache {
   /// Whether the backing index scans candidates on SQ8 codes.
   bool quantized_scan() const noexcept { return quantized_scan_; }
 
-  /// Lifetime counters: "hit", "miss", "insert", "evict", "merge_dup",
-  /// plus the "bytes_float"/"bytes_codes" feature-memory gauges when the
-  /// quantized scan is active. Reading while other threads call in is
-  /// racy; take a quiescent point for exact values.
-  const Counter& counters() const noexcept { return counters_; }
-  Counter& counters() noexcept { return counters_; }
-
  private:
   VecId evict_one(SimTime now);
-  /// Refreshes the "bytes_float"/"bytes_codes" gauges (quantized scan only).
+  /// Refreshes the "cache/bytes_float"/"cache/bytes_codes" gauges
+  /// (quantized scan with a registry attached only).
   void update_memory_gauges();
   /// Simulated device cost of a lookup that computed `candidates` distances
   /// (quantized scan: on codes, plus `survivors` exact re-ranks).
@@ -197,7 +197,6 @@ class ApproxCache {
   std::unique_ptr<NnIndex> index_;
   std::unordered_map<VecId, CacheEntry> entries_;
   VecId next_id_ = 1;
-  Counter counters_;
   /// Constructed once (single this-pointer capture fits std::function's
   /// small-buffer storage) so votes never rebuild a closure per lookup.
   std::function<Label(VecId)> label_of_;
@@ -208,6 +207,13 @@ class ApproxCache {
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t lookup_us_hist_ = 0;
   std::uint32_t nearest_distance_hist_ = 0;
+  std::uint32_t hit_ = 0;
+  std::uint32_t miss_ = 0;
+  std::uint32_t insert_ = 0;
+  std::uint32_t evict_ = 0;
+  std::uint32_t clear_ = 0;
+  std::uint32_t bytes_float_ = 0;
+  std::uint32_t bytes_codes_ = 0;
   /// Serializes every method (see file comment). mutable so const methods
   /// can lock.
   mutable std::mutex mu_;

@@ -50,14 +50,13 @@ ReusePipeline::ReusePipeline(EventSimulator& sim, const PipelineConfig& config,
                                    model_,   cache_,       exact_cache_,
                                    peers_,   edge_};
   rungs_ = build_ladder(spec_, build_ctx);
-  register_instruments(owned_metrics_);
 }
 
 bool ReusePipeline::process(const Frame& frame, MotionState motion,
                             Callback done) {
   assert(done);
   if (busy_) {
-    metrics_->inc(dropped_counter_);
+    inc_if_attached(metrics_, dropped_counter_);
     return false;
   }
   busy_ = true;
@@ -87,7 +86,8 @@ void ReusePipeline::advance() {
   rungs_[ctx_->rung_index]->run(*this);
 }
 
-void ReusePipeline::register_instruments(MetricsRegistry& metrics) {
+void ReusePipeline::attach_metrics(MetricsRegistry& metrics) {
+  metrics_ = &metrics;
   rung_instruments_.clear();
   source_counters_.clear();
   const auto add_rung = [&](std::string_view name) {
@@ -116,35 +116,9 @@ void ReusePipeline::register_instruments(MetricsRegistry& metrics) {
   for (const auto& rung : rungs_) {
     if (const char* extra = rung->extra_source()) add_source(extra);
   }
-  // Rung-owned subsystem instruments (regions block counters, ...) resolve
-  // their handles against whichever registry is current.
+  // Rung-owned subsystem instruments (regions block counters, ...).
   for (const auto& rung : rungs_) rung->register_metrics(metrics);
   dropped_counter_ = metrics.counter("pipeline/dropped");
-}
-
-void ReusePipeline::attach_metrics(MetricsRegistry& metrics) {
-  metrics.merge(owned_metrics_);
-  metrics_ = &metrics;
-  register_instruments(metrics);
-}
-
-const Counter& ReusePipeline::counters() const {
-  // attach_metrics may re-point metrics_, so the cache is keyed on both the
-  // registry identity and its mutation stamp.
-  if (counters_view_source_ == metrics_ &&
-      counters_view_version_ == metrics_->version()) {
-    return counters_view_;
-  }
-  counters_view_ = Counter{};
-  for (const auto& [name, id] : source_counters_) {
-    const std::uint64_t value = metrics_->value(id);
-    if (value != 0) counters_view_.inc(name, value);
-  }
-  const std::uint64_t dropped = metrics_->value(dropped_counter_);
-  if (dropped != 0) counters_view_.inc("dropped", dropped);
-  counters_view_source_ = metrics_;
-  counters_view_version_ = metrics_->version();
-  return counters_view_;
 }
 
 double ReusePipeline::compute_energy() const {
@@ -167,19 +141,21 @@ void ReusePipeline::finish(ResultSource source, Label label,
   result.correct = (label == result.true_label);
   result.source = source;
   result.compute_energy_mj = compute_energy();
-  for (const TraceSpan& span : trace_.spans()) {
-    const auto it =
-        rung_instruments_.find(std::string_view{to_string(span.rung)});
-    assert(it != rung_instruments_.end());
-    metrics_->record(it->second.latency_us,
-                     static_cast<double>(span.end - span.start));
-    metrics_->inc(span.outcome == RungOutcome::kHit ? it->second.hit
-                                                    : it->second.miss);
+  if (metrics_ != nullptr) {
+    for (const TraceSpan& span : trace_.spans()) {
+      const auto it =
+          rung_instruments_.find(std::string_view{to_string(span.rung)});
+      assert(it != rung_instruments_.end());
+      metrics_->record(it->second.latency_us,
+                       static_cast<double>(span.end - span.start));
+      metrics_->inc(span.outcome == RungOutcome::kHit ? it->second.hit
+                                                      : it->second.miss);
+    }
+    const auto source_it =
+        source_counters_.find(std::string_view{to_string(source)});
+    assert(source_it != source_counters_.end());
+    metrics_->inc(source_it->second);
   }
-  const auto source_it =
-      source_counters_.find(std::string_view{to_string(source)});
-  assert(source_it != source_counters_.end());
-  metrics_->inc(source_it->second);
 
   last_result_ = Prediction{label, confidence};
   // The fast path must not refresh its own freshness clock: a result is

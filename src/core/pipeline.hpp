@@ -73,11 +73,6 @@ class ReusePipeline {
 
   bool busy() const noexcept { return busy_; }
 
-  /// Lifetime counters: one key per ResultSource name plus "dropped" —
-  /// a view rebuilt from the metrics registry (the single source of
-  /// truth); keys that never fired are absent.
-  const Counter& counters() const;
-
   const PipelineConfig& config() const noexcept { return config_; }
 
   /// The resolved ladder composition this pipeline runs.
@@ -88,12 +83,12 @@ class ReusePipeline {
     return threshold_;
   }
 
-  /// Registers per-rung latency histograms, per-rung hit/miss counters and
-  /// per-source counters (see obs/report.hpp for the naming scheme) and
-  /// starts recording every completed frame's trace into them. Counts
-  /// accumulated before the attach (in the pipeline's internal registry)
-  /// are merged in, so nothing is lost. The registry must outlive the
-  /// pipeline.
+  /// Registers per-rung latency histograms, per-rung hit/miss counters,
+  /// per-source counters and "pipeline/dropped" (see obs/report.hpp for the
+  /// naming scheme), plus every rung's own instruments, and starts
+  /// recording every completed frame's trace into them. The schema-baseline
+  /// rung and source names are registered whatever the ladder. Until then
+  /// the pipeline records nothing. The registry must outlive the pipeline.
   void attach_metrics(MetricsRegistry& metrics);
 
   /// Trace of the most recently completed frame (rungs visited, in order).
@@ -150,9 +145,6 @@ class ReusePipeline {
     MetricsRegistry::CounterId miss = 0;
   };
 
-  /// (Re-)registers every instrument on `metrics`: the schema-baseline rung
-  /// and source names plus whatever extra rungs/sources this ladder adds.
-  void register_instruments(MetricsRegistry& metrics);
   double compute_energy() const;
 
   EventSimulator* sim_;
@@ -179,22 +171,13 @@ class ReusePipeline {
   SimTime last_result_time_ = 0;
 
   FrameTrace trace_;
-  /// Single source of truth for pipeline counters. Until attach_metrics()
-  /// the internal registry records everything; attaching merges it into
-  /// the external one and re-points the instruments there.
-  MetricsRegistry owned_metrics_;
-  MetricsRegistry* metrics_ = &owned_metrics_;
+  /// The registry every instrument below lives in; null until
+  /// attach_metrics().
+  MetricsRegistry* metrics_ = nullptr;
   std::map<std::string, RungInstruments, std::less<>> rung_instruments_;
   std::map<std::string, MetricsRegistry::CounterId, std::less<>>
       source_counters_;
   MetricsRegistry::CounterId dropped_counter_ = 0;
-  /// Legacy-shaped view rebuilt by counters() on demand. Cached against the
-  /// registry's mutation stamp: the ladder-matrix smoke leg calls
-  /// counters() per export, and rebuilding the map each time was pure
-  /// waste when nothing changed in between.
-  mutable Counter counters_view_;
-  mutable const MetricsRegistry* counters_view_source_ = nullptr;
-  mutable std::uint64_t counters_view_version_ = 0;
 };
 
 }  // namespace apx

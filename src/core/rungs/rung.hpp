@@ -95,10 +95,9 @@ class ReuseRung {
   virtual const char* extra_source() const noexcept { return nullptr; }
 
   /// Subsystem instruments beyond the standard per-rung set (the regions
-  /// rung's block counters, for example). Called whenever the pipeline
-  /// (re-)registers instruments — once at construction against the internal
-  /// registry and again on every attach_metrics — so implementations must
-  /// re-resolve their handles against `metrics` each call.
+  /// rung's block counters, for example). Called once, from the pipeline's
+  /// attach_metrics(): the rung registers every instrument by handle here,
+  /// counts into `metrics` from then on, and records nothing before it.
   virtual void register_metrics(MetricsRegistry& metrics) { (void)metrics; }
 };
 

@@ -73,8 +73,8 @@ CacheResult EdgeCacheService::query(std::span<const float> features,
                                         .now = now,
                                         .threshold_scale = threshold_scale});
   std::lock_guard<std::mutex> lock{counters_mu_};
-  counters_.inc("lookup");
   if (metrics_ != nullptr) {
+    metrics_->inc(lookup_);
     metrics_->record(lookup_us_hist_, static_cast<double>(res.latency));
   }
   return res;
@@ -89,7 +89,7 @@ bool EdgeCacheService::feed(const FeatureVec& features, Label label,
   }
   {
     std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("feed");
+    inc_if_attached(metrics_, feed_);
   }
   ApproxCache& shard = *shards_[shard_of(features)];
   // Estimated serving-error increase of admitting (features -> label),
@@ -115,13 +115,13 @@ bool EdgeCacheService::feed(const FeatureVec& features, Label label,
   }
   if (error > params_.error_budget) {
     std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("reject_budget");
+    inc_if_attached(metrics_, reject_budget_);
     return false;
   }
   shard.insert(features, label, confidence, now, EntryOrigin::kPeer,
                /*hop_count=*/1, source_device);
   std::lock_guard<std::mutex> lock{counters_mu_};
-  counters_.inc("admit");
+  inc_if_attached(metrics_, admit_);
   return true;
 }
 
@@ -141,7 +141,7 @@ std::size_t EdgeCacheService::sweep(SimTime now) {
     }
   }
   std::lock_guard<std::mutex> lock{counters_mu_};
-  counters_.inc("swept", removed);
+  inc_if_attached(metrics_, swept_, removed);
   return removed;
 }
 
@@ -211,7 +211,7 @@ void EdgeCacheService::on_message(NodeId from,
     }
   } catch (const CodecError&) {
     std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
   }
   (void)from;
 }
@@ -235,7 +235,7 @@ void EdgeCacheService::handle_lookup(const EdgeLookupRequestMsg& msg) {
     }
   } else {
     std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
   }
   // The reply leaves after the shard lookup's simulated latency.
   sim_->schedule_after(latency, [this, resp, to = msg.sender] {
@@ -250,7 +250,7 @@ void EdgeCacheService::handle_feed(const EdgeFeedMsg& msg) {
   if (!valid_key(entry.feature, dim_) || entry.label == kNoLabel ||
       !std::isfinite(entry.confidence)) {
     std::lock_guard<std::mutex> lock{counters_mu_};
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
     return;
   }
   feed(entry.feature, entry.label, entry.confidence, sim_->now(),
@@ -261,13 +261,12 @@ void EdgeCacheService::attach_metrics(MetricsRegistry& metrics) {
   metrics_ = &metrics;
   lookup_us_hist_ =
       metrics.histogram("edge/srv_lookup_us", latency_us_bounds());
-  // Pre-register the folded counters as zeros so the export schema is
-  // stable whether or not any edge traffic happened.
-  metrics.counter("edge/srv_lookup");
-  metrics.counter("edge/srv_feed");
-  metrics.counter("edge/srv_admit");
-  metrics.counter("edge/srv_reject_budget");
-  metrics.counter("edge/srv_swept");
+  lookup_ = metrics.counter("edge/srv_lookup");
+  feed_ = metrics.counter("edge/srv_feed");
+  admit_ = metrics.counter("edge/srv_admit");
+  reject_budget_ = metrics.counter("edge/srv_reject_budget");
+  swept_ = metrics.counter("edge/srv_swept");
+  bad_message_ = metrics.counter("edge/srv_bad_message");
 }
 
 }  // namespace apx

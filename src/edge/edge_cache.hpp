@@ -28,7 +28,7 @@
 //
 // Thread-safety: query/feed/sweep/clear/size may be called concurrently
 // from many threads — each shard serializes its own mutations internally
-// (DESIGN.md §9) and the service-level counters/metrics sit behind a
+// (DESIGN.md §9) and the service-level counters and histogram sit behind a
 // mutex. Two caveats: a concurrent feed's admission estimate and insert
 // are not one atomic step (a racing feed may shift the vote in between —
 // harmless, just nondeterministic), and the network surface
@@ -44,7 +44,6 @@
 #include "src/cache/approx_cache.hpp"
 #include "src/net/medium.hpp"
 #include "src/net/messages.hpp"
-#include "src/util/stats.hpp"
 
 namespace apx {
 
@@ -133,15 +132,15 @@ class EdgeCacheService {
 
   // ---- introspection ---------------------------------------------------
 
-  /// Registers the "edge/srv_lookup_us" histogram plus the service counters
-  /// the runner later folds (as zeros, for schema stability). The registry
-  /// must outlive the service.
+  /// Registers the service's instruments on `metrics` and counts into
+  /// them from then on; until then it records nothing. The registry must
+  /// outlive the service; reading it while another thread calls in needs
+  /// a quiescent point. Histogram: "edge/srv_lookup_us". Counters:
+  /// "edge/srv_lookup", "edge/srv_feed", "edge/srv_admit",
+  /// "edge/srv_reject_budget", "edge/srv_swept", "edge/srv_bad_message".
+  /// The shards are ApproxCaches with no registry attached; attach one per
+  /// shard through shard(i) to see their "cache/*" counters.
   void attach_metrics(MetricsRegistry& metrics);
-
-  /// Counters: "lookup", "feed", "admit", "reject_budget", "swept",
-  /// "bad_message" (folded by the runner as "edge/srv_<key>"). Reading
-  /// while another thread mutates needs an external quiescent point.
-  const Counter& counters() const noexcept { return counters_; }
 
   const EdgeParams& params() const noexcept { return params_; }
   std::size_t dim() const noexcept { return dim_; }
@@ -168,12 +167,17 @@ class EdgeCacheService {
   bool running_ = false;
   /// Bumped by every start(); orphans sweep ticks scheduled pre-stop().
   std::uint64_t generation_ = 0;
-  /// Guards counters_ and metrics recording: the shards serialize their own
-  /// state, but concurrent query/feed/sweep callers share these tallies.
+  /// Guards metrics recording: the shards serialize their own state, but
+  /// concurrent query/feed/sweep callers share these tallies.
   mutable std::mutex counters_mu_;
-  Counter counters_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t lookup_us_hist_ = 0;
+  std::uint32_t lookup_ = 0;
+  std::uint32_t feed_ = 0;
+  std::uint32_t admit_ = 0;
+  std::uint32_t reject_budget_ = 0;
+  std::uint32_t swept_ = 0;
+  std::uint32_t bad_message_ = 0;
 };
 
 }  // namespace apx

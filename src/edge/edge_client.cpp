@@ -60,7 +60,7 @@ void EdgeClient::async_lookup(const FeatureVec& query, float threshold_scale,
   msg.threshold_scale = threshold_scale;
   msg.query = query;
   medium_->unicast(self_, server_, encode(msg));
-  counters_.inc("lookup_sent");
+  inc_if_attached(metrics_, lookup_sent_);
 
   sim_->schedule_after(params_.lookup_timeout, [this, request_id] {
     complete(request_id, std::nullopt, /*degraded=*/true);
@@ -89,7 +89,7 @@ void EdgeClient::note_round_outcome(bool degraded, SimTime now) {
     suppressed_until_ = 0;
     return;
   }
-  counters_.inc("degraded");
+  inc_if_attached(metrics_, degraded_);
   if (params_.backoff_after == 0) return;
   ++degraded_streak_;
   if (degraded_streak_ < params_.backoff_after) return;
@@ -106,7 +106,7 @@ void EdgeClient::note_round_outcome(bool degraded, SimTime now) {
 
 bool EdgeClient::should_attempt(SimTime now) {
   if (now >= suppressed_until_) return true;
-  counters_.inc("backoff_skip");
+  inc_if_attached(metrics_, backoff_skip_);
   return false;
 }
 
@@ -123,7 +123,7 @@ void EdgeClient::feed(const FeatureVec& features, Label label,
   msg.entry.age = 0;
   msg.entry.quantize_on_wire = params_.quantize_wire_features;
   medium_->unicast(self_, server_, encode(msg));
-  counters_.inc("feed_sent");
+  inc_if_attached(metrics_, feed_sent_);
 }
 
 void EdgeClient::on_message(NodeId from,
@@ -140,13 +140,13 @@ void EdgeClient::on_message(NodeId from,
         break;
     }
   } catch (const CodecError&) {
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
   }
   (void)from;
 }
 
 void EdgeClient::handle_response(const EdgeLookupResponseMsg& msg) {
-  counters_.inc("response_recv");
+  inc_if_attached(metrics_, response_recv_);
   std::optional<HknnVote> vote;
   if (msg.has_vote) {
     HknnVote v;
@@ -164,9 +164,12 @@ void EdgeClient::handle_response(const EdgeLookupResponseMsg& msg) {
 void EdgeClient::attach_metrics(MetricsRegistry& metrics) {
   metrics_ = &metrics;
   round_us_hist_ = metrics.histogram("edge/round_us", latency_us_bounds());
-  metrics.counter("edge/lookup_sent");
-  metrics.counter("edge/degraded");
-  metrics.counter("edge/backoff_skip");
+  lookup_sent_ = metrics.counter("edge/lookup_sent");
+  response_recv_ = metrics.counter("edge/response_recv");
+  feed_sent_ = metrics.counter("edge/feed_sent");
+  degraded_ = metrics.counter("edge/degraded");
+  backoff_skip_ = metrics.counter("edge/backoff_skip");
+  bad_message_ = metrics.counter("edge/bad_message");
 }
 
 }  // namespace apx

@@ -57,13 +57,11 @@ class EdgeClient {
   NodeId id() const noexcept { return self_; }
   const EdgeParams& params() const noexcept { return params_; }
 
-  /// Counters: "lookup_sent", "response_recv", "feed_sent", "degraded",
-  /// "backoff_skip", "bad_message" (folded by the runner as "edge/<key>").
-  const Counter& counters() const noexcept { return counters_; }
-
-  /// Registers the "edge/round_us" lookup round-trip histogram plus the
-  /// folded counters (as zeros, for schema stability). The registry must
-  /// outlive the client.
+  /// Registers the client's instruments on `metrics` and counts into them
+  /// from then on; until then it records nothing. The registry must
+  /// outlive the client. Histogram: "edge/round_us" (lookup round trip).
+  /// Counters: "edge/lookup_sent", "edge/response_recv", "edge/feed_sent",
+  /// "edge/degraded", "edge/backoff_skip", "edge/bad_message".
   void attach_metrics(MetricsRegistry& metrics);
 
  private:
@@ -90,9 +88,14 @@ class EdgeClient {
   std::uint32_t degraded_streak_ = 0;
   std::uint32_t backoff_level_ = 0;
   SimTime suppressed_until_ = 0;
-  Counter counters_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t round_us_hist_ = 0;
+  std::uint32_t lookup_sent_ = 0;
+  std::uint32_t response_recv_ = 0;
+  std::uint32_t feed_sent_ = 0;
+  std::uint32_t degraded_ = 0;
+  std::uint32_t backoff_skip_ = 0;
+  std::uint32_t bad_message_ = 0;
 };
 
 }  // namespace apx

@@ -80,7 +80,6 @@ MetricsRegistry::CounterId MetricsRegistry::counter(const std::string& name) {
   const auto id = static_cast<CounterId>(counters_.size());
   counters_.push_back(NamedCounter{name, 0});
   counter_ids_.emplace(name, id);
-  ++version_;
   return id;
 }
 
@@ -106,7 +105,6 @@ MetricsRegistry::HistogramId MetricsRegistry::histogram(
   h.buckets.assign(bounds.size() + 1, 0);
   histograms_.push_back(std::move(h));
   histogram_ids_.emplace(name, id);
-  ++version_;
   return id;
 }
 
@@ -124,7 +122,6 @@ void MetricsRegistry::record(HistogramId id, double value) noexcept {
   }
   ++h.count;
   h.sum += value;
-  ++version_;
 }
 
 std::uint64_t MetricsRegistry::counter_value(

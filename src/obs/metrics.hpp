@@ -57,7 +57,6 @@ class MetricsRegistry {
 
   void inc(CounterId id, std::uint64_t by = 1) noexcept {
     counters_[id].value += by;
-    ++version_;
   }
 
   /// Overwrites a counter with an absolute value — gauge semantics (e.g.
@@ -65,15 +64,9 @@ class MetricsRegistry {
   /// the same fleet-total convention as cache/bytes_float.
   void set(CounterId id, std::uint64_t value) noexcept {
     counters_[id].value = value;
-    ++version_;
   }
 
   void record(HistogramId id, double value) noexcept;
-
-  /// Mutation stamp: bumped by every inc/record/registration/merge. Lets
-  /// derived views (ReusePipeline::counters()) cache their rebuild and
-  /// invalidate only when the registry actually changed.
-  std::uint64_t version() const noexcept { return version_; }
 
   /// Current value of a registered counter (handle variant of
   /// counter_value(); no name lookup).
@@ -113,8 +106,15 @@ class MetricsRegistry {
   std::vector<Histogram> histograms_;
   std::map<std::string, CounterId> counter_ids_;
   std::map<std::string, HistogramId> histogram_ids_;
-  std::uint64_t version_ = 0;
 };
+
+/// inc() for components that count into the registry they are attached
+/// to: a no-op while `metrics` is null (nothing attached yet).
+inline void inc_if_attached(MetricsRegistry* metrics,
+                            MetricsRegistry::CounterId id,
+                            std::uint64_t by = 1) noexcept {
+  if (metrics != nullptr) metrics->inc(id, by);
+}
 
 /// Shared bucket boundary sets so the same quantity is comparable across
 /// instruments (and across runner shards, where merge requires identical

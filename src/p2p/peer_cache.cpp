@@ -79,11 +79,11 @@ void PeerCacheService::on_message(NodeId from,
         handle_advert(decode_entry_advert(payload));
         break;
       default:
-        counters_.inc("bad_message");
+        inc_if_attached(metrics_, bad_message_);
         break;
     }
   } catch (const CodecError&) {
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
   }
   (void)from;
 }
@@ -109,7 +109,7 @@ void PeerCacheService::async_lookup(const FeatureVec& query,
   msg.query = query;
   msg.k = params_.lookup_k;
   medium_->broadcast(self_, encode(msg));
-  counters_.inc("lookup_sent");
+  inc_if_attached(metrics_, lookup_sent_);
 
   sim_->schedule_after(params_.lookup_timeout,
                        [this, request_id] { complete_lookup(request_id); });
@@ -142,7 +142,7 @@ void PeerCacheService::note_round_outcome(bool degraded, SimTime now) {
     suppressed_until_ = 0;
     return;
   }
-  counters_.inc("degraded");
+  inc_if_attached(metrics_, degraded_);
   if (params_.backoff_after == 0) return;
   ++degraded_streak_;
   if (degraded_streak_ < params_.backoff_after) return;
@@ -160,7 +160,7 @@ void PeerCacheService::note_round_outcome(bool degraded, SimTime now) {
 
 bool PeerCacheService::should_attempt(SimTime now) {
   if (now >= suppressed_until_) return true;
-  counters_.inc("backoff_skip");
+  inc_if_attached(metrics_, backoff_skip_);
   return false;
 }
 
@@ -169,12 +169,19 @@ void PeerCacheService::attach_metrics(MetricsRegistry& metrics) {
   round_us_hist_ = metrics.histogram("p2p/round_us", latency_us_bounds());
   degraded_round_us_hist_ =
       metrics.histogram("p2p/degraded_round_us", latency_us_bounds());
-  metrics.counter("p2p/lookup_sent");
-  metrics.counter("p2p/response_sent");
-  metrics.counter("p2p/response_recv");
-  metrics.counter("p2p/merged");
-  metrics.counter("p2p/degraded");
-  metrics.counter("p2p/backoff_skip");
+  lookup_sent_ = metrics.counter("p2p/lookup_sent");
+  response_sent_ = metrics.counter("p2p/response_sent");
+  response_recv_ = metrics.counter("p2p/response_recv");
+  merged_ = metrics.counter("p2p/merged");
+  merge_dup_ = metrics.counter("p2p/merge_dup");
+  merge_hops_ = metrics.counter("p2p/merge_hops");
+  advert_sent_ = metrics.counter("p2p/advert_sent");
+  advert_entries_ = metrics.counter("p2p/advert_entries");
+  hotset_push_ = metrics.counter("p2p/hotset_push");
+  hotset_entries_ = metrics.counter("p2p/hotset_entries");
+  bad_message_ = metrics.counter("p2p/bad_message");
+  degraded_ = metrics.counter("p2p/degraded");
+  backoff_skip_ = metrics.counter("p2p/backoff_skip");
 }
 
 void PeerCacheService::push_hotset(NodeId newcomer) {
@@ -207,8 +214,8 @@ void PeerCacheService::push_hotset(NodeId newcomer) {
     msg.entries.push_back(std::move(wire));
   }
   medium_->unicast(self_, newcomer, encode(msg));
-  counters_.inc("hotset_push");
-  counters_.inc("hotset_entries", msg.entries.size());
+  inc_if_attached(metrics_, hotset_push_);
+  inc_if_attached(metrics_, hotset_entries_, msg.entries.size());
 }
 
 void PeerCacheService::handle_lookup_request(const LookupRequestMsg& msg) {
@@ -244,11 +251,11 @@ void PeerCacheService::handle_lookup_request(const LookupRequestMsg& msg) {
     }
   }
   medium_->unicast(self_, msg.sender, encode(resp));
-  counters_.inc("response_sent");
+  inc_if_attached(metrics_, response_sent_);
 }
 
 void PeerCacheService::handle_lookup_response(const LookupResponseMsg& msg) {
-  counters_.inc("response_recv");
+  inc_if_attached(metrics_, response_recv_);
   const auto it = pending_.find(msg.request_id);
   if (it == pending_.end()) return;  // late response after timeout
   auto& pending = it->second;
@@ -272,16 +279,16 @@ bool PeerCacheService::merge_entry(const WireEntry& entry) {
   // in the cache poisoning votes forever. Reject non-finite values here.
   if (!valid_key(entry.feature, cache_->dim()) || entry.label == kNoLabel ||
       !std::isfinite(entry.confidence)) {
-    counters_.inc("bad_message");
+    inc_if_attached(metrics_, bad_message_);
     return false;
   }
   if (entry.hop_count >= params_.max_hops) {
-    counters_.inc("merge_hops");
+    inc_if_attached(metrics_, merge_hops_);
     return false;
   }
   const auto nearest = cache_->nearest_distance(entry.feature);
   if (nearest.has_value() && *nearest <= params_.dedup_radius) {
-    counters_.inc("merge_dup");
+    inc_if_attached(metrics_, merge_dup_);
     return false;
   }
   const auto hops = static_cast<std::uint8_t>(entry.hop_count + 1);
@@ -294,7 +301,7 @@ bool PeerCacheService::merge_entry(const WireEntry& entry) {
   // remote entries do not outlive fresh local ones under utility eviction.
   cache_->insert(entry.feature, entry.label, confidence, insert_time,
                  EntryOrigin::kPeer, hops, entry.source_device);
-  counters_.inc("merged");
+  inc_if_attached(metrics_, merged_);
   return true;
 }
 
@@ -332,8 +339,8 @@ void PeerCacheService::advert_tick(std::uint64_t generation) {
       msg.entries.push_back(std::move(wire));
     }
     medium_->broadcast(self_, encode(msg));
-    counters_.inc("advert_sent");
-    counters_.inc("advert_entries", msg.entries.size());
+    inc_if_attached(metrics_, advert_sent_);
+    inc_if_attached(metrics_, advert_entries_, msg.entries.size());
   }
   sim_->schedule_after(params_.advert_interval,
                        [this, generation] { advert_tick(generation); });

@@ -97,15 +97,15 @@ class PeerCacheService {
   DiscoveryService& discovery() noexcept { return discovery_; }
   const PeerCacheParams& params() const noexcept { return params_; }
 
-  /// Counters: "lookup_sent", "response_sent", "response_recv", "merged",
-  /// "merge_dup", "merge_hops", "advert_sent", "advert_entries",
-  /// "bad_message", "degraded", "backoff_skip".
-  const Counter& counters() const noexcept { return counters_; }
-
-  /// Registers the "p2p/round_us" lookup round-trip histogram and the
-  /// "p2p/degraded_round_us" histogram of rounds that hit the timeout with
-  /// answers missing (plus the counters the runner later copies, as zeros,
-  /// for schema stability). The registry must outlive the service.
+  /// Registers the service's instruments on `metrics` and counts into
+  /// them from then on; until then it records nothing. The registry must
+  /// outlive the service. Histograms: "p2p/round_us" (lookup round trip)
+  /// and "p2p/degraded_round_us" (rounds that hit the timeout with answers
+  /// missing). Counters: "p2p/lookup_sent", "p2p/response_sent",
+  /// "p2p/response_recv", "p2p/merged", "p2p/merge_dup", "p2p/merge_hops",
+  /// "p2p/advert_sent", "p2p/advert_entries", "p2p/hotset_push",
+  /// "p2p/hotset_entries", "p2p/bad_message", "p2p/degraded",
+  /// "p2p/backoff_skip".
   void attach_metrics(MetricsRegistry& metrics);
 
  private:
@@ -144,10 +144,22 @@ class PeerCacheService {
   std::uint32_t degraded_streak_ = 0;
   std::uint32_t backoff_level_ = 0;
   SimTime suppressed_until_ = 0;
-  Counter counters_;
   MetricsRegistry* metrics_ = nullptr;
   std::uint32_t round_us_hist_ = 0;
   std::uint32_t degraded_round_us_hist_ = 0;
+  std::uint32_t lookup_sent_ = 0;
+  std::uint32_t response_sent_ = 0;
+  std::uint32_t response_recv_ = 0;
+  std::uint32_t merged_ = 0;
+  std::uint32_t merge_dup_ = 0;
+  std::uint32_t merge_hops_ = 0;
+  std::uint32_t advert_sent_ = 0;
+  std::uint32_t advert_entries_ = 0;
+  std::uint32_t hotset_push_ = 0;
+  std::uint32_t hotset_entries_ = 0;
+  std::uint32_t bad_message_ = 0;
+  std::uint32_t degraded_ = 0;
+  std::uint32_t backoff_skip_ = 0;
 };
 
 }  // namespace apx

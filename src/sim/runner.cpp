@@ -87,8 +87,8 @@ struct ExperimentRunner::Impl {
   std::vector<std::unique_ptr<Device>> devices;   // global device order
   std::vector<Shard*> shard_of;                   // per device
   std::unique_ptr<EdgeCacheService> edge_service;
-  /// The edge service's private registry (histograms recorded live); merged
-  /// into the pooled registry after the devices, in run().
+  /// The edge service's private registry; merged into the pooled registry
+  /// after the devices, in run().
   MetricsRegistry edge_registry;
   std::vector<ExperimentMetrics> device_metrics;
   MetricsRegistry pooled_registry;
@@ -385,39 +385,15 @@ struct ExperimentRunner::Impl {
         device.metrics.add_radio_energy_mj(
             shard_of[d]->medium->energy_mj(device.peers->id()));
       }
-      // Fold the legacy string-keyed counters into the device registry
-      // (namespaced) so one export carries everything. Histograms recorded
-      // live during the run; these counters are copied once, here, to avoid
-      // double counting.
-      if (device.cache) {
-        for (const auto& [key, count] : device.cache->counters().items()) {
-          device.registry.inc(device.registry.counter("cache/" + key), count);
-        }
-      }
-      if (device.peers) {
-        for (const auto& [key, count] : device.peers->counters().items()) {
-          device.registry.inc(device.registry.counter("p2p/" + key), count);
-        }
-      }
       if (device.edge) {
         device.metrics.add_radio_energy_mj(
             shard_of[d]->medium->energy_mj(device.edge->id()));
-        for (const auto& [key, count] : device.edge->counters().items()) {
-          device.registry.inc(device.registry.counter("edge/" + key), count);
-        }
       }
-      // Pipeline counters (sources, dropped) live directly in the device
-      // registry since attach_metrics — nothing to copy.
       pooled_registry.merge(device.registry);
       pooled.merge(device.metrics);
       device_metrics.push_back(device.metrics);
     }
-    if (edge_service) {
-      for (const auto& [key, count] : edge_service->counters().items()) {
-        edge_registry.inc(edge_registry.counter("edge/srv_" + key), count);
-      }
-      pooled_registry.merge(edge_registry);
-    }
+    if (edge_service) pooled_registry.merge(edge_registry);
     // Fault counters are shard-level, not per-device. Register every key
     // unconditionally so the export schema is identical for chaos and
     // fault-free runs (zeros in the latter).
@@ -443,30 +419,6 @@ ExperimentMetrics ExperimentRunner::run() { return impl_->run(); }
 const std::vector<ExperimentMetrics>& ExperimentRunner::device_metrics()
     const noexcept {
   return impl_->device_metrics;
-}
-
-Counter ExperimentRunner::cache_counters() const {
-  Counter pooled;
-  for (const auto& device : impl_->devices) {
-    if (device->cache) {
-      for (const auto& [key, count] : device->cache->counters().items()) {
-        pooled.inc(key, count);
-      }
-    }
-  }
-  return pooled;
-}
-
-Counter ExperimentRunner::p2p_counters() const {
-  Counter pooled;
-  for (const auto& device : impl_->devices) {
-    if (device->peers) {
-      for (const auto& [key, count] : device->peers->counters().items()) {
-        pooled.inc(key, count);
-      }
-    }
-  }
-  return pooled;
 }
 
 std::size_t ExperimentRunner::edge_cache_size() const {

@@ -29,13 +29,6 @@ class ExperimentRunner {
   /// Per-device metrics, valid after run().
   const std::vector<ExperimentMetrics>& device_metrics() const noexcept;
 
-  /// Pooled cache counters across devices ("hit"/"miss"/"insert"/"evict"),
-  /// valid after run().
-  Counter cache_counters() const;
-
-  /// Pooled P2P counters across devices, valid after run().
-  Counter p2p_counters() const;
-
   /// Entries held by the region edge service across its shards (0 when the
   /// ladder has no edge rung).
   std::size_t edge_cache_size() const;

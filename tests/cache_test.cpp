@@ -58,11 +58,13 @@ TEST(ApproxCache, BadConfigThrows) {
 // builds too (P2P merges feed insert() with peer-decoded vectors).
 TEST(ApproxCache, LookupRejectsWrongFeatureSize) {
   auto cache = make_cache();
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   cache.insert(unit_at(0.0f), 5, 0.9f, 0);
   const FeatureVec short_key(kDim - 1, 0.5f);
   EXPECT_THROW(cache.lookup({.features = short_key, .now = 1}),
                std::invalid_argument);
-  EXPECT_EQ(cache.counters().get("miss"), 0u);
+  EXPECT_EQ(metrics.counter_value("cache/miss"), 0u);
 }
 
 TEST(ApproxCache, PeekAndNearestRejectWrongFeatureSize) {
@@ -76,10 +78,12 @@ TEST(ApproxCache, PeekAndNearestRejectWrongFeatureSize) {
 
 TEST(ApproxCache, InsertRejectsWrongFeatureSizeBeforeAnyChange) {
   auto cache = make_cache();
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   EXPECT_THROW(cache.insert(FeatureVec(kDim + 1, 0.5f), 5, 0.9f, 0),
                std::invalid_argument);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.counters().get("insert"), 0u);
+  EXPECT_EQ(metrics.counter_value("cache/insert"), 0u);
   // The cache still works after the rejected insert.
   cache.insert(unit_at(0.0f), 5, 0.9f, 0);
   EXPECT_EQ(cache.size(), 1u);
@@ -92,6 +96,8 @@ TEST(ApproxCache, NonFiniteKeysThrowBeforeAnyChange) {
                                IndexKind::kAdaptiveLsh, IndexKind::kQalsh}) {
     SCOPED_TRACE(to_string(kind));
     auto cache = make_cache(kind);
+    MetricsRegistry metrics;
+    cache.attach_metrics(metrics);
     cache.insert(unit_at(0.0f), 5, 0.9f, 0);
     for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
                             std::numeric_limits<float>::infinity(),
@@ -106,9 +112,9 @@ TEST(ApproxCache, NonFiniteKeysThrowBeforeAnyChange) {
       EXPECT_THROW(cache.insert(key, 6, 0.9f, 1), std::invalid_argument);
     }
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.counters().get("hit"), 0u);
-    EXPECT_EQ(cache.counters().get("miss"), 0u);
-    EXPECT_EQ(cache.counters().get("insert"), 1u);
+    EXPECT_EQ(metrics.counter_value("cache/hit"), 0u);
+    EXPECT_EQ(metrics.counter_value("cache/miss"), 0u);
+    EXPECT_EQ(metrics.counter_value("cache/insert"), 1u);
     // The cache still answers a valid key.
     EXPECT_TRUE(
         cache.lookup({.features = unit_at(0.0f), .now = 2}).vote.has_value());
@@ -117,18 +123,22 @@ TEST(ApproxCache, NonFiniteKeysThrowBeforeAnyChange) {
 
 TEST(ApproxCache, EmptyLookupMisses) {
   auto cache = make_cache();
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   const auto result = cache.lookup({.features = unit_at(0.0f), .now = 0});
   EXPECT_FALSE(result.vote.has_value());
-  EXPECT_EQ(cache.counters().get("miss"), 1u);
+  EXPECT_EQ(metrics.counter_value("cache/miss"), 1u);
 }
 
 TEST(ApproxCache, NearbyFeatureHits) {
   auto cache = make_cache();
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   cache.insert(unit_at(0.0f), 5, 0.9f, 0);
   const auto result = cache.lookup({.features = unit_at(0.05f), .now = 1});
   ASSERT_TRUE(result.vote.has_value());
   EXPECT_EQ(result.vote->label, 5);
-  EXPECT_EQ(cache.counters().get("hit"), 1u);
+  EXPECT_EQ(metrics.counter_value("cache/hit"), 1u);
 }
 
 TEST(ApproxCache, FarFeatureMisses) {
@@ -200,11 +210,13 @@ TEST(ApproxCache, ExactMatchDominatesMixedNeighborhood) {
 
 TEST(ApproxCache, CapacityEnforced) {
   auto cache = make_cache(IndexKind::kExact, 4);
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   for (int i = 0; i < 10; ++i) {
     cache.insert(unit_at(static_cast<float>(i)), i, 0.9f, i);
   }
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.counters().get("evict"), 6u);
+  EXPECT_EQ(metrics.counter_value("cache/evict"), 6u);
 }
 
 TEST(ApproxCache, LruEvictsOldest) {
@@ -286,8 +298,8 @@ TEST(ApproxCache, PeekAndNearestApplyOnlyTheIndexHook) {
     return h == nullptr ? std::uint64_t{0} : h->count;
   };
   const auto expect_no_cache_side_effects = [&] {
-    EXPECT_EQ(cache.counters().get("hit"), 0u);
-    EXPECT_EQ(cache.counters().get("miss"), 0u);
+    EXPECT_EQ(metrics.counter_value("cache/hit"), 0u);
+    EXPECT_EQ(metrics.counter_value("cache/miss"), 0u);
     EXPECT_EQ(samples("cache/lookup_us"), 0u);
     EXPECT_EQ(samples("cache/nearest_distance"), 0u);
     cache.for_each([](const CacheEntry& e) {

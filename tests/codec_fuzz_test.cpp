@@ -11,11 +11,19 @@
 //
 // Run under the asan-ubsan preset this is the "corruption surfaces as
 // CodecError drops, never UB" acceptance check in executable form.
+//
+// The same seeds also drive the other text-to-structure parser an operator
+// feeds directly: LadderSpec::parse (core/rungs/ladder.hpp), over generated
+// and mutated specs. Each input must throw std::invalid_argument or parse
+// into a spec that round-trips through to_string().
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "src/core/rungs/ladder.hpp"
 #include "src/net/faults.hpp"
 #include "src/net/messages.hpp"
 #include "src/util/rng.hpp"
@@ -219,6 +227,120 @@ TEST_P(CodecFuzzer, FaultInjectorCorruptionOnlyEverThrowsCodecError) {
       exercise_all_decoders(bytes);
     }
   }
+}
+
+// ------------------------------------------------------ 4. ladder specs
+
+/// One registered rung and its argument keys, in ladder rank order.
+struct FuzzRung {
+  const char* name;
+  std::vector<const char*> keys;
+};
+
+const std::vector<FuzzRung>& fuzz_rungs() {
+  static const std::vector<FuzzRung> rungs{
+      {"imu", {}},
+      {"temporal", {}},
+      {"regions", {"grid", "max_changed", "ttl"}},
+      {"warm", {}},
+      {"local", {"q8", "qalsh", "c", "delta", "beta"}},
+      {"exact", {}},
+      {"p2p", {}},
+      {"edge", {"shards", "capacity", "ttl", "error_budget"}},
+      {"dnn", {}},
+  };
+  return rungs;
+}
+
+template <typename T>
+const T& pick(Rng& rng, const std::vector<T>& from) {
+  return from[rng.uniform_u64(from.size())];
+}
+
+/// A value drawn from every kind's valid and invalid forms.
+std::string fuzz_value(Rng& rng) {
+  static const std::vector<std::string> values{
+      "4",   "1",    "2048", "0",    "-1",   "30s", "500ms", "250us", "7",
+      "0s",  "s",    "ms",   "0.25", "1",    "0.0", "1.5",   "2",     "64",
+      "65",  "nan",  "inf",  "1e-3", "abc",  "",    " 8 ",   "4x",    "1e309",
+      "0x1", "0.5s", "=",    "(4)",  "9999999999999999999"};
+  return pick(rng, values);
+}
+
+/// A plausible spec: rungs in rank order, each with a random argument
+/// list, so a useful share of inputs gets past the parser.
+std::string generated_spec(Rng& rng) {
+  std::string out;
+  for (const FuzzRung& rung : fuzz_rungs()) {
+    if (!rng.chance(0.5) && std::string_view{rung.name} != "dnn") continue;
+    if (!out.empty()) out += rng.chance(0.95) ? "," : " , ";
+    out += rung.name;
+    if (rung.keys.empty() || !rng.chance(0.5)) continue;
+    out += '(';
+    const std::size_t n = 1 + rng.uniform_u64(3);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0) out += ',';
+      out += pick(rng, rung.keys);
+      if (rng.chance(0.7)) {
+        out += '=';
+        out += fuzz_value(rng);
+      }
+    }
+    out += ')';
+  }
+  return out;
+}
+
+/// Mutates `spec` in place: inserted grammar characters and random bytes,
+/// deletions, spliced slices and truncations.
+void mutate_spec(Rng& rng, std::string& spec) {
+  static const std::string grammar = ",()= ";
+  const std::size_t edits = 1 + rng.uniform_u64(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = rng.uniform_u64(spec.size() + 1);
+    switch (rng.uniform_u64(5)) {
+      case 0:
+        spec.insert(at, 1, grammar[rng.uniform_u64(grammar.size())]);
+        break;
+      case 1:
+        spec.insert(at, 1, static_cast<char>(rng.uniform_u64(256)));
+        break;
+      case 2:
+        if (at < spec.size()) spec.erase(at, 1 + rng.uniform_u64(3));
+        break;
+      case 3: {
+        const std::size_t from = rng.uniform_u64(spec.size() + 1);
+        spec.insert(at, spec.substr(from, rng.uniform_u64(8)));
+        break;
+      }
+      default:
+        spec.resize(at);
+        break;
+    }
+  }
+}
+
+TEST_P(CodecFuzzer, LadderSpecsThrowInvalidArgumentOrRoundTrip) {
+  Rng rng{GetParam() ^ 0x1add3eULL};
+  std::size_t parsed = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = generated_spec(rng);
+    if (rng.chance(0.5)) mutate_spec(rng, text);
+    LadderSpec spec;
+    try {
+      spec = LadderSpec::parse(text);
+    } catch (const std::invalid_argument&) {
+      continue;  // rejected: the only other allowed outcome
+    }
+    ++parsed;
+    const std::string canonical = spec.to_string();
+    const LadderSpec again = LadderSpec::parse(canonical);
+    EXPECT_EQ(again.tokens, spec.tokens) << "input: " << text;
+    EXPECT_EQ(again.args, spec.args) << "input: " << text;
+    EXPECT_EQ(again.to_string(), canonical) << "input: " << text;
+  }
+  // The generator reaches past the parser's front door, not only errors.
+  EXPECT_GT(parsed, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzer,

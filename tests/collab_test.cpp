@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "src/obs/metrics.hpp"
 #include "src/p2p/peer_cache.hpp"
 #include "src/sim/runner.hpp"
 
@@ -43,11 +44,13 @@ struct TwoPeers {
   ApproxCache cache_a{kDim, cache_config(), make_lru_policy()};
   ApproxCache cache_b{kDim, cache_config(), make_lru_policy()};
   std::unique_ptr<PeerCacheService> a, b;
+  MetricsRegistry metrics_a;  ///< a's registry
 
   explicit TwoPeers(PeerCacheParams params) {
     params.advert_enabled = false;  // isolate the hot-set path
     a = std::make_unique<PeerCacheService>(sim, medium, cache_a, params, 0);
     b = std::make_unique<PeerCacheService>(sim, medium, cache_b, params, 0);
+    a->attach_metrics(metrics_a);
   }
 };
 
@@ -71,8 +74,8 @@ TEST(HotSet, PushedToNewlyDiscoveredPeer) {
   peers.sim.run_until(200 * kMillisecond);
   // B received A's hot set (4 entries, the most-accessed ones).
   EXPECT_EQ(peers.cache_b.size(), 4u);
-  EXPECT_GE(peers.a->counters().get("hotset_push"), 1u);
-  EXPECT_EQ(peers.a->counters().get("hotset_entries"), 4u);
+  EXPECT_GE(peers.metrics_a.counter_value("p2p/hotset_push"), 1u);
+  EXPECT_EQ(peers.metrics_a.counter_value("p2p/hotset_entries"), 4u);
   int found_popular = 0;
   peers.cache_b.for_each([&](const CacheEntry& e) {
     if (e.label >= 0 && e.label < 4) ++found_popular;
@@ -88,7 +91,7 @@ TEST(HotSet, DisabledByDefault) {
   peers.b->start();
   peers.sim.run_until(200 * kMillisecond);
   EXPECT_EQ(peers.cache_b.size(), 0u);
-  EXPECT_EQ(peers.a->counters().get("hotset_push"), 0u);
+  EXPECT_EQ(peers.metrics_a.counter_value("p2p/hotset_push"), 0u);
 }
 
 TEST(HotSet, NotRepeatedWhileNeighborStaysLive) {
@@ -100,7 +103,7 @@ TEST(HotSet, NotRepeatedWhileNeighborStaysLive) {
   peers.b->start();
   // Many beacon rounds: the push must fire only on first contact.
   peers.sim.run_until(5 * kSecond);
-  EXPECT_EQ(peers.a->counters().get("hotset_push"), 1u);
+  EXPECT_EQ(peers.metrics_a.counter_value("p2p/hotset_push"), 1u);
 }
 
 TEST(HotSet, RefiresAfterExpiryAndReturn) {
@@ -111,13 +114,13 @@ TEST(HotSet, RefiresAfterExpiryAndReturn) {
   peers.a->start();
   peers.b->start();
   peers.sim.run_until(300 * kMillisecond);
-  EXPECT_EQ(peers.a->counters().get("hotset_push"), 1u);
+  EXPECT_EQ(peers.metrics_a.counter_value("p2p/hotset_push"), 1u);
   // B leaves radio range long enough to expire, then returns.
   peers.medium.set_cell(peers.b->id(), 99);
   peers.sim.run_until(peers.sim.now() + 3 * kSecond);
   peers.medium.set_cell(peers.b->id(), 0);
   peers.sim.run_until(peers.sim.now() + 2 * kSecond);
-  EXPECT_GE(peers.a->counters().get("hotset_push"), 2u);
+  EXPECT_GE(peers.metrics_a.counter_value("p2p/hotset_push"), 2u);
 }
 
 TEST(HotSet, OnlyLocalEntriesPushed) {

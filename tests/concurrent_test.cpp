@@ -14,6 +14,7 @@
 #include "src/ann/adaptive_lsh.hpp"
 #include "src/cache/approx_cache.hpp"
 #include "src/edge/edge_cache.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/vecmath.hpp"
 
@@ -85,6 +86,8 @@ TEST(FoldScratch, FeedsAdaptiveWidthController) {
 void readers_survive_writer_churn(IndexKind kind) {
   ApproxCacheConfig cfg = test_config(kind, /*capacity=*/256);
   ApproxCache cache{kDim, cfg, make_lru_policy()};
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   Rng seed_rng{31};
   fill_cache(cache, seed_rng, 128);
 
@@ -151,7 +154,8 @@ void readers_survive_writer_churn(IndexKind kind) {
   EXPECT_LE(cache.size(), cfg.capacity);
   EXPECT_GT(total_lookups.load(), 0u);
   // Only lookups tally: hits + misses == lookups answered.
-  EXPECT_EQ(cache.counters().get("hit") + cache.counters().get("miss"),
+  EXPECT_EQ(metrics.counter_value("cache/hit") +
+                metrics.counter_value("cache/miss"),
             total_lookups.load());
   // Still serves queries after the churn.
   const CacheResult r = cache.lookup({.features = random_unit(seed_rng)});
@@ -195,6 +199,8 @@ TEST(EdgeConcurrent, MixedQueryFeedSweepHammer) {
   params.ttl = 20'000;
   params.cache.hknn.max_distance = 0.8f;
   EdgeCacheService svc{kDim, params};
+  MetricsRegistry metrics;
+  svc.attach_metrics(metrics);
 
   constexpr int kThreads = 16;  // ISSUE calls for 8-32
   constexpr int kOpsPerThread = 400;
@@ -226,10 +232,13 @@ TEST(EdgeConcurrent, MixedQueryFeedSweepHammer) {
   for (auto& th : workers) th.join();
 
   // Quiescent now: the tallies must balance exactly.
-  const Counter& c = svc.counters();
-  EXPECT_EQ(c.get("lookup"), queries.load());
-  EXPECT_EQ(c.get("feed"), feeds.load());
-  EXPECT_EQ(c.get("admit") + c.get("reject_budget"), feeds.load());
+  const auto count = [&metrics](const char* name) {
+    return metrics.counter_value(name);
+  };
+  EXPECT_EQ(count("edge/srv_lookup"), queries.load());
+  EXPECT_EQ(count("edge/srv_feed"), feeds.load());
+  EXPECT_EQ(count("edge/srv_admit") + count("edge/srv_reject_budget"),
+            feeds.load());
   EXPECT_LE(svc.size(), params.shards * params.capacity);
 }
 

@@ -8,6 +8,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/dnn/oracle.hpp"
 #include "src/dnn/zoo.hpp"
+#include "src/obs/report.hpp"
 
 namespace apx {
 namespace {
@@ -27,6 +28,7 @@ struct Harness {
   std::unique_ptr<PeerCacheService> peer_service;   // the remote peer
   std::unique_ptr<PeerCacheService> local_service;  // this device's endpoint
   std::unique_ptr<ReusePipeline> pipeline;
+  MetricsRegistry metrics;  ///< the pipeline's registry
   PipelineConfig config;
 
   explicit Harness(PipelineConfig cfg, bool with_peer = false)
@@ -71,6 +73,7 @@ struct Harness {
     pipeline = std::make_unique<ReusePipeline>(
         sim, config, *extractor, *model, cache.get(), exact_cache.get(),
         local_service.get(), /*seed=*/11);
+    pipeline->attach_metrics(metrics);
   }
 
   Frame frame(int class_id, float dx = 0.0f) {
@@ -122,7 +125,7 @@ TEST(Pipeline, NoCacheAlwaysInfers) {
     EXPECT_EQ(r.source, ResultSource::kFullInference);
     EXPECT_TRUE(r.correct);
   }
-  EXPECT_EQ(h.pipeline->counters().get("inference"), 5u);
+  EXPECT_EQ(h.metrics.counter_value("pipeline/source/inference"), 5u);
 }
 
 TEST(Pipeline, InferenceLatencyMatchesModelMagnitude) {
@@ -147,7 +150,7 @@ TEST(Pipeline, BusyPipelineDropsFrames) {
                                    }));
   h.sim.run_until(h.sim.now() + 5 * kSecond);
   EXPECT_EQ(completions, 1);
-  EXPECT_EQ(h.pipeline->counters().get("dropped"), 1u);
+  EXPECT_EQ(h.metrics.counter_value("pipeline/dropped"), 1u);
   EXPECT_FALSE(h.pipeline->busy());
 }
 
@@ -391,8 +394,9 @@ TEST(Pipeline, CountersSumToProcessedFrames) {
   Harness h{make_full_system_config()};
   for (int i = 0; i < 10; ++i) h.run_one(h.frame(i % 3));
   std::uint64_t total = 0;
-  for (const auto& [key, count] : h.pipeline->counters().items()) {
-    if (key != "dropped") total += count;
+  for (std::size_t s = 0; s < kResultSourceCount; ++s) {
+    total += h.metrics.counter_value(
+        source_metric(to_string(static_cast<ResultSource>(s))));
   }
   EXPECT_EQ(total, 10u);
 }

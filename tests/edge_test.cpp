@@ -19,6 +19,7 @@
 #include "src/edge/edge_client.hpp"
 #include "src/features/extractor.hpp"
 #include "src/image/scene.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/runner.hpp"
 
 namespace apx {
@@ -123,12 +124,14 @@ TEST(EdgeShards, FeedRejectsBadKeyBeforeCounting) {
   EdgeParams p = exact_params();
   p.error_budget = 1.0f;
   EdgeCacheService svc{kDim, p};
+  MetricsRegistry metrics;
+  svc.attach_metrics(metrics);
   EXPECT_THROW((void)svc.feed(FeatureVec(kDim + 1, 0.5f), 1, 0.9f, 0),
                std::invalid_argument);
   FeatureVec nan_key = axis(0);
   nan_key[1] = std::numeric_limits<float>::quiet_NaN();
   EXPECT_THROW((void)svc.feed(nan_key, 1, 0.9f, 0), std::invalid_argument);
-  EXPECT_EQ(svc.counters().get("feed"), 0u);
+  EXPECT_EQ(metrics.counter_value("edge/srv_feed"), 0u);
   EXPECT_EQ(svc.size(), 0u);
 }
 
@@ -144,6 +147,14 @@ TEST(EdgeNetwork, NonFiniteLookupRequestIsBadMessage) {
   p.shards = 2;
   p.error_budget = 1.0f;
   EdgeCacheService svc{kDim, p};
+  MetricsRegistry metrics;
+  svc.attach_metrics(metrics);
+  // One registry per shard: shards may be driven from different threads,
+  // and a registry is not thread-safe.
+  std::vector<MetricsRegistry> shard_metrics(p.shards);
+  for (std::size_t s = 0; s < p.shards; ++s) {
+    svc.shard(s).attach_metrics(shard_metrics[s]);
+  }
   svc.attach_network(sim, medium);
   svc.start();
   ASSERT_TRUE(svc.feed(axis(0), 1, 0.9f, sim.now()));
@@ -166,11 +177,11 @@ TEST(EdgeNetwork, NonFiniteLookupRequestIsBadMessage) {
   }
   sim.run_until(sim.now() + kSecond);
 
-  EXPECT_EQ(svc.counters().get("bad_message"), 2u);
-  EXPECT_EQ(svc.counters().get("lookup"), 0u);
+  EXPECT_EQ(metrics.counter_value("edge/srv_bad_message"), 2u);
+  EXPECT_EQ(metrics.counter_value("edge/srv_lookup"), 0u);
   for (std::size_t s = 0; s < p.shards; ++s) {
-    EXPECT_EQ(svc.shard(s).counters().get("hit"), 0u);
-    EXPECT_EQ(svc.shard(s).counters().get("miss"), 0u);
+    EXPECT_EQ(shard_metrics[s].counter_value("cache/hit"), 0u);
+    EXPECT_EQ(shard_metrics[s].counter_value("cache/miss"), 0u);
   }
   ASSERT_EQ(replies.size(), 2u);
   for (const EdgeLookupResponseMsg& r : replies) EXPECT_FALSE(r.has_vote);
@@ -222,6 +233,8 @@ TEST(EdgeAdmission, ErrorBudgetAcceptRejectTable) {
     EdgeParams p = exact_params();
     p.error_budget = c.budget;
     EdgeCacheService svc{kDim, p};
+    MetricsRegistry metrics;
+    svc.attach_metrics(metrics);
     ApproxCache& shard = svc.shard(0);
     const std::size_t before_feed = [&] {
       std::size_t n = 0;
@@ -236,8 +249,10 @@ TEST(EdgeAdmission, ErrorBudgetAcceptRejectTable) {
     }();
     EXPECT_EQ(svc.feed(key, c.fed, 0.9f, /*now=*/1), c.expect_admit);
     EXPECT_EQ(svc.size(), before_feed + (c.expect_admit ? 1 : 0));
-    EXPECT_EQ(svc.counters().get("admit"), c.expect_admit ? 1u : 0u);
-    EXPECT_EQ(svc.counters().get("reject_budget"), c.expect_admit ? 0u : 1u);
+    EXPECT_EQ(metrics.counter_value("edge/srv_admit"),
+              c.expect_admit ? 1u : 0u);
+    EXPECT_EQ(metrics.counter_value("edge/srv_reject_budget"),
+              c.expect_admit ? 0u : 1u);
   }
 }
 
@@ -313,6 +328,8 @@ TEST(EdgeTtl, SweepExpiresExactlyAtTheBoundary) {
   p.error_budget = 1.0f;
   p.ttl = 30 * kSecond;
   EdgeCacheService svc{kDim, p};
+  MetricsRegistry metrics;
+  svc.attach_metrics(metrics);
   ASSERT_TRUE(svc.feed(axis(0), 1, 0.9f, /*now=*/5));
   // One microsecond before the boundary: kept.
   EXPECT_EQ(svc.sweep(5 + p.ttl - 1), 0u);
@@ -320,7 +337,7 @@ TEST(EdgeTtl, SweepExpiresExactlyAtTheBoundary) {
   // Exactly at insert_time + ttl: removed.
   EXPECT_EQ(svc.sweep(5 + p.ttl), 1u);
   EXPECT_EQ(svc.size(), 0u);
-  EXPECT_EQ(svc.counters().get("swept"), 1u);
+  EXPECT_EQ(metrics.counter_value("edge/srv_swept"), 1u);
 }
 
 TEST(EdgeTtl, SweepRemovesOnlyExpiredEntries) {

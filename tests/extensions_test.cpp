@@ -307,13 +307,15 @@ TEST(Threshold, EquilibriumBoundsWrongReuse) {
 
 TEST(Threshold, PeekVoteHasNoSideEffects) {
   ApproxCache cache = snapshot_cache();
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   cache.insert({1, 0, 0, 0}, 7, 0.9f, 0);
-  const auto before_hits = cache.counters().get("hit");
+  const auto before_hits = metrics.counter_value("cache/hit");
   const auto vote = cache.peek_vote(
       {.features = FeatureVec{1, 0, 0, 0}, .threshold_scale = 1.0f});
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->label, 7);
-  EXPECT_EQ(cache.counters().get("hit"), before_hits);
+  EXPECT_EQ(metrics.counter_value("cache/hit"), before_hits);
   const CacheEntry* entry = nullptr;
   cache.for_each([&](const CacheEntry& e) { entry = &e; });
   ASSERT_NE(entry, nullptr);

@@ -322,7 +322,7 @@ TEST(ChaosSoak, RestartedPeersRejoinAndResyncViaHotsetPush) {
   probe.run();
   // Peer entries flowed after the wipes (merges count only entries that
   // actually joined a cache).
-  EXPECT_GT(probe.p2p_counters().get("merged"), 0u);
+  EXPECT_GT(probe.metrics().counter_value("p2p/merged"), 0u);
 }
 
 TEST(ChaosSoak, CorruptionSurfacesAsDropsNeverUb) {

@@ -228,15 +228,15 @@ TEST(CacheHotPath, SteadyStateTracedLookupPerformsZeroAllocations) {
       trace.end_span(RungOutcome::kMiss, now);
     }
   };
-  run_all(2000);  // warm-up: scratch buffers and counter nodes get created
+  run_all(2000);  // warm-up: scratch buffers get created
 
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   run_all(3000);
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
   // Both paths actually ran.
-  EXPECT_GT(cache.counters().get("hit"), 0u);
-  EXPECT_GT(cache.counters().get("miss"), 0u);
+  EXPECT_GT(registry.counter_value("cache/hit"), 0u);
+  EXPECT_GT(registry.counter_value("cache/miss"), 0u);
   const auto* hist = registry.find_histogram("cache/lookup_us");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, 2 * queries.size());
@@ -408,11 +408,13 @@ TEST(ParallelRunner, BitIdenticalToSequentialForSameSeed) {
     expect_metrics_identical(sequential.device_metrics()[d],
                              parallel.device_metrics()[d]);
   }
-  // And the cache counters (insert/hit/miss/evict) must agree exactly.
-  const Counter seq_counters = sequential.cache_counters();
-  const Counter par_counters = parallel.cache_counters();
-  for (const auto& [key, count] : seq_counters.items()) {
-    EXPECT_EQ(par_counters.get(key), count) << key;
+  // And the cache counters (insert/hit/miss/evict/clear) must agree
+  // exactly.
+  for (const char* name : {"cache/hit", "cache/miss", "cache/insert",
+                           "cache/evict", "cache/clear"}) {
+    EXPECT_EQ(parallel.metrics().counter_value(name),
+              sequential.metrics().counter_value(name))
+        << name;
   }
 }
 

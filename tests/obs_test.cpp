@@ -5,11 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
+#include <string_view>
 
 #include "src/core/pipeline.hpp"
 #include "src/dnn/oracle.hpp"
 #include "src/dnn/zoo.hpp"
+#include "src/edge/edge_cache.hpp"
+#include "src/edge/edge_client.hpp"
 #include "src/obs/frame_trace.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
@@ -131,6 +137,208 @@ TEST(Metrics, RunnerExportIsBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(sequential.metrics().counter_value(
                 source_metric(to_string(ResultSource::kFullInference))),
             0u);
+}
+
+// ------------------------------------------- attach-time counter registration
+
+/// The "counters" block of `metrics`' JSON export, by name.
+std::map<std::string, std::uint64_t> exported_counters(
+    const MetricsRegistry& metrics) {
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream json{metrics.to_json()};
+  std::string line;
+  bool inside = false;
+  while (std::getline(json, line)) {
+    if (line.find("\"counters\": {") != std::string::npos) {
+      inside = line.back() == '{';  // "{}," when there are none
+      continue;
+    }
+    if (!inside) continue;
+    if (line.rfind("  }", 0) == 0) break;
+    const std::size_t open = line.find('"');
+    const std::size_t close = line.find('"', open + 1);
+    out.emplace(line.substr(open + 1, close - open - 1),
+                std::stoull(line.substr(close + 3)));
+  }
+  return out;
+}
+
+/// Names in `counters` that start with `prefix`.
+std::set<std::string> names_with_prefix(
+    const std::map<std::string, std::uint64_t>& counters,
+    std::string_view prefix) {
+  std::set<std::string> out;
+  for (const auto& [name, value] : counters) {
+    if (name.rfind(prefix, 0) == 0) out.insert(name);
+  }
+  return out;
+}
+
+/// Every component the runner attaches to a device or edge registry, built
+/// standalone on one medium. Nothing is attached by construction.
+struct Components {
+  static constexpr std::size_t kDim = 8;
+  EventSimulator sim;
+  WirelessMedium medium{sim, MediumParams{}, /*seed=*/5};
+  ApproxCache cache{kDim,
+                    [] {
+                      ApproxCacheConfig c;
+                      c.capacity = 2;
+                      c.index = IndexKind::kExact;
+                      return c;
+                    }(),
+                    make_lru_policy()};
+  PeerCacheService peers{sim, medium, cache, PeerCacheParams{}};
+  EdgeCacheService service{kDim, EdgeParams{}};
+  std::unique_ptr<EdgeClient> client;
+  SceneGenerator scenes{[] {
+    SceneGenerator::Config sc;
+    sc.num_classes = 8;
+    sc.image_size = 24;
+    return sc;
+  }()};
+  std::unique_ptr<FeatureExtractor> extractor = make_downsample_extractor(8);
+  std::unique_ptr<RecognitionModel> model =
+      make_oracle_model(mobilenet_v2_profile(), 8);
+  std::unique_ptr<ReusePipeline> pipeline;
+
+  Components() {
+    service.attach_network(sim, medium);
+    client = std::make_unique<EdgeClient>(sim, medium, service.id(),
+                                          service.params());
+    pipeline = std::make_unique<ReusePipeline>(
+        sim, make_nocache_config(), *extractor, *model, nullptr, nullptr,
+        nullptr, /*seed=*/3);
+  }
+
+  /// Drives each component's main counting paths once.
+  void exercise() {
+    const FeatureVec key(kDim, 0.5f);
+    for (int i = 0; i < 3; ++i) {  // the third insert evicts
+      cache.insert(FeatureVec(kDim, 0.1f * static_cast<float>(i)), i, 0.9f,
+                   sim.now());
+    }
+    (void)cache.lookup({.features = key, .now = sim.now()});
+    cache.clear();
+    peers.start();
+    peers.async_lookup(key, [](std::vector<WireEntry>) {});
+    service.start();
+    client->start();
+    client->async_lookup(key, 1.0f, [](std::optional<HknnVote>) {});
+    client->feed(key, 1, 0.9f);
+    (void)service.feed(key, 2, 0.9f, sim.now());
+    (void)service.query(key, sim.now());
+    (void)service.sweep(sim.now() + service.params().ttl);
+    Frame frame;
+    frame.t = sim.now();
+    frame.image = scenes.render(1, ViewParams{});
+    ASSERT_TRUE(pipeline->process(frame, MotionState::kMinor,
+                                  [](const RecognitionResult&) {}));
+    // A second frame while the first is in flight is dropped.
+    ASSERT_FALSE(pipeline->process(frame, MotionState::kMinor,
+                                   [](const RecognitionResult&) {}));
+    sim.run_until(sim.now() + kSecond);
+  }
+};
+
+/// What each component registers at attach, keyed by its registry prefix.
+struct ExpectedSet {
+  const char* prefix;
+  std::set<std::string> names;
+};
+
+std::vector<ExpectedSet> expected_counter_sets() {
+  std::set<std::string> pipeline{"pipeline/dropped"};
+  for (const char* rung : schema_rung_names()) {
+    pipeline.insert(rung_outcome_metric(rung, RungOutcome::kHit));
+    pipeline.insert(rung_outcome_metric(rung, RungOutcome::kMiss));
+  }
+  for (const char* source : schema_source_names()) {
+    pipeline.insert(source_metric(source));
+  }
+  return {
+      {"cache/",
+       {"cache/hit", "cache/miss", "cache/insert", "cache/evict",
+        "cache/clear"}},
+      {"p2p/",
+       {"p2p/lookup_sent", "p2p/response_sent", "p2p/response_recv",
+        "p2p/merged", "p2p/merge_dup", "p2p/merge_hops", "p2p/advert_sent",
+        "p2p/advert_entries", "p2p/hotset_push", "p2p/hotset_entries",
+        "p2p/bad_message", "p2p/degraded", "p2p/backoff_skip"}},
+      {"edge/",
+       {"edge/lookup_sent", "edge/response_recv", "edge/feed_sent",
+        "edge/degraded", "edge/backoff_skip", "edge/bad_message"}},
+      {"edge/srv_",
+       {"edge/srv_lookup", "edge/srv_feed", "edge/srv_admit",
+        "edge/srv_reject_budget", "edge/srv_swept", "edge/srv_bad_message"}},
+      {"pipeline/", pipeline},
+  };
+}
+
+/// Attaches each component to its own registry, in expected_counter_sets()
+/// order.
+void attach_each(Components& c, std::array<MetricsRegistry, 5>& registries) {
+  c.cache.attach_metrics(registries[0]);
+  c.peers.attach_metrics(registries[1]);
+  c.client->attach_metrics(registries[2]);
+  c.service.attach_metrics(registries[3]);
+  c.pipeline->attach_metrics(registries[4]);
+}
+
+void expect_full_sets_of_zeros(
+    const std::array<MetricsRegistry, 5>& registries) {
+  const std::vector<ExpectedSet> expected = expected_counter_sets();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE(expected[i].prefix);
+    const auto counters = exported_counters(registries[i]);
+    EXPECT_EQ(names_with_prefix(counters, expected[i].prefix),
+              expected[i].names);
+    for (const auto& [name, value] : counters) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
+}
+
+TEST(Metrics, ComponentsCountOnlyIntoTheRegistryAttachedToThem) {
+  {
+    SCOPED_TRACE("attached, idle: the full counter set, as zeros");
+    std::array<MetricsRegistry, 5> registries;  // outlive the components
+    Components c;
+    attach_each(c, registries);
+    expect_full_sets_of_zeros(registries);
+  }
+  {
+    SCOPED_TRACE("unattached: records nothing and does not crash");
+    std::array<MetricsRegistry, 5> registries;
+    Components c;
+    c.exercise();
+    // Nothing counted before the attach surfaces after it.
+    attach_each(c, registries);
+    expect_full_sets_of_zeros(registries);
+  }
+  {
+    // The same exercise with registries attached does count, so the zeros
+    // above are not an exercise that never reached the counters.
+    SCOPED_TRACE("attached, exercised");
+    std::array<MetricsRegistry, 5> registries;
+    Components c;
+    attach_each(c, registries);
+    c.exercise();
+    EXPECT_EQ(registries[0].counter_value("cache/insert"), 3u);
+    EXPECT_EQ(registries[0].counter_value("cache/evict"), 1u);
+    EXPECT_EQ(registries[0].counter_value("cache/clear"), 1u);
+    EXPECT_EQ(registries[0].counter_value("cache/hit") +
+                  registries[0].counter_value("cache/miss"),
+              1u);
+    EXPECT_GT(registries[2].counter_value("edge/lookup_sent"), 0u);
+    EXPECT_GT(registries[2].counter_value("edge/feed_sent"), 0u);
+    EXPECT_GT(registries[3].counter_value("edge/srv_feed"), 0u);
+    EXPECT_GT(registries[3].counter_value("edge/srv_lookup"), 0u);
+    EXPECT_EQ(registries[4].counter_value("pipeline/dropped"), 1u);
+    EXPECT_EQ(registries[4].counter_value(
+                  source_metric(to_string(ResultSource::kFullInference))),
+              1u);
+  }
 }
 
 // ----------------------------------------------------------- frame traces
@@ -268,7 +476,7 @@ TEST(FrameTraceTest, RegistryCountsAgreeWithSources) {
     expect_trace_matches(h.pipeline->last_trace(), r);
     sources.inc(to_string(r.source));
   }
-  // Per-source counters in the registry mirror the pipeline's Counter, and
+  // Per-source counters in the registry match the results' sources, and
   // each source's count shows up as hits on its answering rung.
   std::uint64_t total = 0;
   for (std::size_t s = 0; s < kResultSourceCount; ++s) {

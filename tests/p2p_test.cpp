@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "src/obs/metrics.hpp"
 #include "src/p2p/peer_cache.hpp"
 
 namespace apx {
@@ -46,6 +47,8 @@ struct Cluster {
   WirelessMedium medium;
   std::vector<std::unique_ptr<ApproxCache>> caches;
   std::vector<std::unique_ptr<PeerCacheService>> peers;
+  /// One registry per peer, attached at construction.
+  std::vector<std::unique_ptr<MetricsRegistry>> metrics;
 
   explicit Cluster(int n, PeerCacheParams params = {},
                    MediumParams medium_params = lossless())
@@ -55,6 +58,8 @@ struct Cluster {
                                                      make_lru_policy()));
       peers.push_back(std::make_unique<PeerCacheService>(
           sim, medium, *caches.back(), params, /*cell=*/0));
+      metrics.push_back(std::make_unique<MetricsRegistry>());
+      peers.back()->attach_metrics(*metrics.back());
     }
     for (auto& p : peers) p->start();
     // Let a beacon round complete so neighbour tables are warm.
@@ -110,7 +115,7 @@ TEST(PeerCache, RemoteHitReturnsEntries) {
   EXPECT_EQ(got[0].label, 42);
   // The entry also merged into the requester's local cache.
   EXPECT_EQ(c.caches[0]->size(), 1u);
-  EXPECT_EQ(c.peers[0]->counters().get("merged"), 1u);
+  EXPECT_EQ(c.metrics[0]->counter_value("p2p/merged"), 1u);
 }
 
 TEST(PeerCache, LookupCompletesEarlyWhenAllRespond) {
@@ -160,7 +165,7 @@ TEST(PeerCache, AdvertPropagatesFreshEntries) {
   // Both other peers hold the advertised entry now.
   EXPECT_GE(c.caches[1]->size(), 1u);
   EXPECT_GE(c.caches[2]->size(), 1u);
-  EXPECT_GE(c.peers[0]->counters().get("advert_sent"), 1u);
+  EXPECT_GE(c.metrics[0]->counter_value("p2p/advert_sent"), 1u);
 }
 
 TEST(PeerCache, MergedEntriesCarryProvenance) {
@@ -192,7 +197,7 @@ TEST(PeerCache, DedupRadiusPreventsDuplicateMerge) {
   settle(c.sim, params);
   EXPECT_TRUE(called);
   EXPECT_EQ(c.caches[0]->size(), 1u);
-  EXPECT_GE(c.peers[0]->counters().get("merge_dup"), 1u);
+  EXPECT_GE(c.metrics[0]->counter_value("p2p/merge_dup"), 1u);
 }
 
 TEST(PeerCache, HopLimitStopsPropagation) {
@@ -212,7 +217,7 @@ TEST(PeerCache, HopLimitStopsPropagation) {
   EXPECT_TRUE(called);
   // ...but not merged into the requester's cache.
   EXPECT_EQ(c.caches[0]->size(), 0u);
-  EXPECT_GE(c.peers[0]->counters().get("merge_hops"), 1u);
+  EXPECT_GE(c.metrics[0]->counter_value("p2p/merge_hops"), 1u);
 }
 
 TEST(PeerCache, ResponseLimitedToKEntries) {
@@ -251,7 +256,7 @@ TEST(PeerCache, MalformedMessageCounted) {
   // Byte 2 is kLookupRequest's type but the body is garbage.
   c.medium.unicast(c.peers[1]->id(), c.peers[0]->id(), {2, 0xFF});
   settle(c.sim);
-  EXPECT_GE(c.peers[0]->counters().get("bad_message"), 1u);
+  EXPECT_GE(c.metrics[0]->counter_value("p2p/bad_message"), 1u);
 }
 
 TEST(PeerCache, WrongDimensionEntryRejected) {
@@ -268,7 +273,7 @@ TEST(PeerCache, WrongDimensionEntryRejected) {
   c.medium.unicast(c.peers[1]->id(), c.peers[0]->id(), encode(msg));
   settle(c.sim, params);
   EXPECT_EQ(c.caches[0]->size(), 0u);
-  EXPECT_GE(c.peers[0]->counters().get("bad_message"), 1u);
+  EXPECT_GE(c.metrics[0]->counter_value("p2p/bad_message"), 1u);
 }
 
 TEST(PeerCache, CollaborationScalesWithPeers) {

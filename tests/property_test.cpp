@@ -21,6 +21,7 @@
 #include "src/image/image.hpp"
 #include "src/net/event_sim.hpp"
 #include "src/net/messages.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/runner.hpp"
 
 namespace apx {
@@ -111,8 +112,11 @@ TEST_P(CacheFuzz, InvariantsUnderRandomOperations) {
   cfg.capacity = 16;
   cfg.index = IndexKind::kExact;
   ApproxCache cache{8, cfg, make_lru_policy()};
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
 
   std::set<VecId> live;
+  std::uint64_t lookups = 0;
   SimTime now = 0;
   for (int op = 0; op < 2000; ++op) {
     now += static_cast<SimTime>(rng.uniform_u64(1000));
@@ -132,6 +136,7 @@ TEST_P(CacheFuzz, InvariantsUnderRandomOperations) {
       live.erase(it);
     } else {
       (void)cache.lookup({.features = random_unit(rng, 8), .now = now});
+      ++lookups;
     }
     // Invariants after every operation:
     ASSERT_LE(cache.size(), cfg.capacity);
@@ -144,10 +149,10 @@ TEST_P(CacheFuzz, InvariantsUnderRandomOperations) {
     ASSERT_EQ(counted, cache.size());
   }
   // Accounting: every lookup was either a hit or a miss.
-  const auto& counters = cache.counters();
-  EXPECT_GT(counters.get("insert"), 0u);
-  EXPECT_EQ(counters.get("hit") + counters.get("miss"),
-            counters.get("hit") + counters.get("miss"));
+  EXPECT_GT(metrics.counter_value("cache/insert"), 0u);
+  EXPECT_EQ(metrics.counter_value("cache/hit") +
+                metrics.counter_value("cache/miss"),
+            lookups);
 }
 
 TEST_P(CacheFuzz, SnapshotOfFuzzedCacheRoundTrips) {
@@ -356,6 +361,8 @@ TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
   cfg.index = IndexKind::kLsh;
   cfg.hknn.k = 3;
   ApproxCache cache{8, cfg, make_lru_policy()};
+  MetricsRegistry metrics;
+  cache.attach_metrics(metrics);
   Rng seed_rng{schedule};
   for (int i = 0; i < 32; ++i) {
     cache.insert(random_unit(seed_rng, 8), static_cast<Label>(i % 6), 0.9f,
@@ -411,7 +418,8 @@ TEST_P(CacheFuzz, ConcurrentBatchedReadersSurviveMixedWriterOps) {
   EXPECT_LE(cache.size(), cfg.capacity);
   // Writer-side lookups also tally hit/miss, so the readers' lookups are
   // a lower bound on the total.
-  EXPECT_GE(cache.counters().get("hit") + cache.counters().get("miss"),
+  EXPECT_GE(metrics.counter_value("cache/hit") +
+                metrics.counter_value("cache/miss"),
             answered.load());
   // Still serves queries after the churn.
   const FeatureVec probe = random_unit(seed_rng, 8);

@@ -168,15 +168,21 @@ TEST(Runner, DeviceMetricsSumToPooled) {
 TEST(Runner, CacheCountersExposed) {
   ExperimentRunner runner{quick_scenario()};
   runner.run();
-  const Counter counters = runner.cache_counters();
-  EXPECT_GT(counters.get("insert"), 0u);
+  EXPECT_GT(runner.metrics().counter_value("cache/insert"), 0u);
 }
 
 TEST(Runner, P2pCountersExposedWhenEnabled) {
   ExperimentRunner runner{quick_scenario()};
   runner.run();
-  const Counter counters = runner.p2p_counters();
-  EXPECT_GT(counters.total(), 0u);
+  std::uint64_t total = 0;
+  for (const char* name :
+       {"p2p/lookup_sent", "p2p/response_sent", "p2p/response_recv",
+        "p2p/merged", "p2p/merge_dup", "p2p/merge_hops", "p2p/advert_sent",
+        "p2p/advert_entries", "p2p/hotset_push", "p2p/hotset_entries",
+        "p2p/bad_message", "p2p/degraded", "p2p/backoff_skip"}) {
+    total += runner.metrics().counter_value(name);
+  }
+  EXPECT_GT(total, 0u);
 }
 
 // ----------------------------------------------------------- Integration

@@ -119,7 +119,9 @@ int main(int argc, char** argv) {
     }
     if (key == "quantize-wire" || key == "real-classifier" ||
         key == "compare" || key == "csv" || key == "metrics") {
-      args.values[key] = "1";
+      // A std::string, not the bare literal: GCC 12 at -O3 flags the
+      // literal's assignment with a false -Wrestrict.
+      args.values[key] = std::string{"1"};
     } else if (i + 1 < argc) {
       args.values[key] = argv[++i];
     } else {
