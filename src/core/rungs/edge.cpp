@@ -9,8 +9,7 @@ void EdgeRung::run(ReusePipeline& host) {
   // The backoff gate keeps a device cut off from the edge from paying the
   // lookup timeout every frame: after repeated timed-out rounds the rung
   // is skipped entirely and the frame falls through to the DNN.
-  if (!host.config().enable_edge || edge_ == nullptr ||
-      !edge_->should_attempt(host.sim().now())) {
+  if (edge_ == nullptr || !edge_->should_attempt(host.sim().now())) {
     host.advance();
     return;
   }

@@ -8,8 +8,7 @@ void P2pRung::run(ReusePipeline& host) {
   // The backoff gate keeps a partitioned device from paying the P2P
   // timeout every frame: after repeated degraded rounds the rung is
   // skipped entirely and the frame falls straight through to the DNN.
-  if (!host.config().enable_p2p || peers_ == nullptr ||
-      !peers_->should_attempt(host.sim().now())) {
+  if (peers_ == nullptr || !peers_->should_attempt(host.sim().now())) {
     host.advance();
     return;
   }

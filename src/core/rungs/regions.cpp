@@ -57,10 +57,6 @@ void RegionsRung::register_metrics(MetricsRegistry& metrics) {
 }
 
 void RegionsRung::run(ReusePipeline& host) {
-  if (!host.config().enable_regions) {
-    host.advance();
-    return;
-  }
   FrameContext& ctx = host.frame_ctx();
   if (ctx.features_ready) {
     host.advance();

@@ -5,10 +5,6 @@
 namespace apx {
 
 void TemporalRung::run(ReusePipeline& host) {
-  if (!host.config().enable_temporal) {
-    host.advance();
-    return;
-  }
   const FrameContext& ctx = host.frame_ctx();
   if (!ctx.gate.allow_temporal_reuse) {
     // Major motion: the previous keyframe no longer describes the scene.

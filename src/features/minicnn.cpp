@@ -304,32 +304,6 @@ FeatureVec MiniCnn::embed(const Image& img) const {
   return out;
 }
 
-std::vector<FeatureVec> MiniCnn::embed_batch(std::span<const Image> imgs,
-                                             ThreadPool* pool) const {
-  std::vector<FeatureVec> out(imgs.size());
-  if (pool == nullptr || pool->size() == 0 || imgs.size() < 2) {
-    ForwardState state;
-    for (std::size_t i = 0; i < imgs.size(); ++i) {
-      embed_into(imgs[i], state, out[i]);
-    }
-    return out;
-  }
-  // Contiguous slices, a few per worker for balance; each task reuses one
-  // ForwardState across its images, so only the first image of a slice
-  // allocates. Images are independent and each result lands in its own
-  // slot, so scheduling order cannot affect the output.
-  const std::size_t grain =
-      std::max<std::size_t>(1, imgs.size() / (4 * (pool->size() + 1)));
-  pool->parallel_for(0, imgs.size(), grain,
-                     [this, imgs, &out](std::size_t lo, std::size_t hi) {
-                       ForwardState state;
-                       for (std::size_t i = lo; i < hi; ++i) {
-                         embed_into(imgs[i], state, out[i]);
-                       }
-                     });
-  return out;
-}
-
 namespace {
 
 class CnnExtractor final : public FeatureExtractor {

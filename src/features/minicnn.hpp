@@ -17,10 +17,10 @@
 // The forward pass is staged (DESIGN.md §11): a ForwardState materializes
 // the per-stage activation tensors, and the pass can resume from any stage
 // with spliced activations — the seam the region-reuse rung uses to skip
-// conv work for unchanged image blocks. embed()/embed_batch() are thin
-// wrappers over the same staged path, so the monolithic and staged results
-// are the same code, not merely equal. Every conv — the full pass and the
-// spliced recomputation alike — runs the one kernel in conv3x3.hpp.
+// conv work for unchanged image blocks. embed() is a thin wrapper over the
+// same staged path, so the monolithic and staged results are the same
+// code, not merely equal. Every conv — the full pass and the spliced
+// recomputation alike — runs the one kernel in conv3x3.hpp.
 
 #include <array>
 #include <cstdint>
@@ -29,7 +29,6 @@
 
 #include "src/features/conv3x3.hpp"
 #include "src/image/image.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/vecmath.hpp"
 
 namespace apx {
@@ -99,13 +98,6 @@ class MiniCnn {
 
   /// Embeds `img` (any size; resized internally) into a unit-norm vector.
   FeatureVec embed(const Image& img) const;
-
-  /// Embeds a batch of images through the same staged path. Tasks own
-  /// contiguous slices and reuse one ForwardState across their images, so
-  /// steady-state per-image allocations are zero; results are indexed by
-  /// input position, independent of scheduling.
-  std::vector<FeatureVec> embed_batch(std::span<const Image> imgs,
-                                      ThreadPool* pool = nullptr) const;
 
   // ------------------------------------------------------- staged forward
 

@@ -6,9 +6,9 @@
 //  1. Zero allocations on the hot path. Instruments register by name ONCE
 //     (at attach time) and receive an integer handle; inc()/record() are
 //     array index + arithmetic. Bucket bounds are fixed at registration.
-//  2. Deterministic merging. Runner shards each own a registry; merging in
-//     device order produces bit-identical state whether the shards ran on
-//     one thread or eight (see sim/runner.cpp).
+//  2. Deterministic merging. Each simulated device owns a registry; the
+//     runner merges them in device order, so same-seed runs produce
+//     bit-identical state (see sim/runner.cpp).
 //  3. Two export formats: JSON (machine, schema-checked by tools/check.sh)
 //     and an aligned text table (human).
 
@@ -22,9 +22,9 @@ namespace apx {
 
 /// Registry of named counters and fixed-bucket histograms.
 ///
-/// Not thread-safe: one registry per simulated device / runner shard, merged
-/// after the run (the same ownership discipline as every other per-device
-/// object in this codebase).
+/// Not thread-safe: one registry per simulated device, merged after the run
+/// (the same ownership discipline as every other per-device object in this
+/// codebase).
 class MetricsRegistry {
  public:
   using CounterId = std::uint32_t;
@@ -117,7 +117,7 @@ inline void inc_if_attached(MetricsRegistry* metrics,
 }
 
 /// Shared bucket boundary sets so the same quantity is comparable across
-/// instruments (and across runner shards, where merge requires identical
+/// instruments (and across devices, where merge requires identical
 /// bounds). Spans point at static storage.
 std::span<const double> latency_us_bounds() noexcept;  ///< 10 us .. 5 s
 std::span<const double> distance_bounds() noexcept;    ///< 0.025 .. 2.0

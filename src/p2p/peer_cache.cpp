@@ -203,15 +203,7 @@ void PeerCacheService::push_hotset(NodeId newcomer) {
   EntryAdvertMsg msg;
   msg.sender = self_;
   for (const CacheEntry* entry : hot) {
-    WireEntry wire;
-    wire.feature = entry->feature;
-    wire.label = entry->label;
-    wire.confidence = entry->confidence;
-    wire.hop_count = entry->hop_count;
-    wire.source_device = entry->source_device;
-    wire.age = std::max<SimDuration>(0, sim_->now() - entry->insert_time);
-    wire.quantize_on_wire = params_.quantize_wire_features;
-    msg.entries.push_back(std::move(wire));
+    msg.entries.push_back(to_wire(*entry));
   }
   medium_->unicast(self_, newcomer, encode(msg));
   inc_if_attached(metrics_, hotset_push_);
@@ -238,16 +230,7 @@ void PeerCacheService::handle_lookup_request(const LookupRequestMsg& msg) {
     const std::size_t take =
         std::min<std::size_t>(msg.k, close.size());
     for (std::size_t i = 0; i < take; ++i) {
-      const CacheEntry& entry = *close[i].second;
-      WireEntry wire;
-      wire.feature = entry.feature;
-      wire.label = entry.label;
-      wire.confidence = entry.confidence;
-      wire.hop_count = entry.hop_count;
-      wire.source_device = entry.source_device;
-      wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
-      wire.quantize_on_wire = params_.quantize_wire_features;
-      resp.entries.push_back(std::move(wire));
+      resp.entries.push_back(to_wire(*close[i].second));
     }
   }
   medium_->unicast(self_, msg.sender, encode(resp));
@@ -271,6 +254,18 @@ void PeerCacheService::handle_lookup_response(const LookupResponseMsg& msg) {
 
 void PeerCacheService::handle_advert(const EntryAdvertMsg& msg) {
   for (const auto& entry : msg.entries) merge_entry(entry);
+}
+
+WireEntry PeerCacheService::to_wire(const CacheEntry& entry) const {
+  WireEntry wire;
+  wire.feature = entry.feature;
+  wire.label = entry.label;
+  wire.confidence = entry.confidence;
+  wire.hop_count = entry.hop_count;
+  wire.source_device = entry.source_device;
+  wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
+  wire.quantize_on_wire = params_.quantize_wire_features;
+  return wire;
 }
 
 bool PeerCacheService::merge_entry(const WireEntry& entry) {
@@ -327,16 +322,7 @@ void PeerCacheService::advert_tick(std::uint64_t generation) {
             ? fresh.size() - params_.advert_batch_max
             : 0;
     for (std::size_t i = start; i < fresh.size(); ++i) {
-      const CacheEntry& entry = fresh[i];
-      WireEntry wire;
-      wire.feature = entry.feature;
-      wire.label = entry.label;
-      wire.confidence = entry.confidence;
-      wire.hop_count = entry.hop_count;
-      wire.source_device = entry.source_device;
-      wire.age = std::max<SimDuration>(0, sim_->now() - entry.insert_time);
-      wire.quantize_on_wire = params_.quantize_wire_features;
-      msg.entries.push_back(std::move(wire));
+      msg.entries.push_back(to_wire(fresh[i]));
     }
     medium_->broadcast(self_, encode(msg));
     inc_if_attached(metrics_, advert_sent_);

@@ -114,6 +114,8 @@ class PeerCacheService {
   void handle_lookup_request(const LookupRequestMsg& msg);
   void handle_lookup_response(const LookupResponseMsg& msg);
   void handle_advert(const EntryAdvertMsg& msg);
+  /// The wire form of a local entry, aged to now.
+  WireEntry to_wire(const CacheEntry& entry) const;
   /// Merges one wire entry into the local cache; returns whether it joined.
   bool merge_entry(const WireEntry& entry);
   void advert_tick(std::uint64_t generation);

@@ -10,7 +10,6 @@
 #include "src/edge/edge_client.hpp"
 #include "src/imu/trace.hpp"
 #include "src/net/event_sim.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace apx {
 
@@ -59,8 +58,8 @@ struct Device {
   std::unique_ptr<ReusePipeline> pipeline;
   SimTime last_imu_pull = 0;
   ExperimentMetrics metrics;
-  /// Private registry — shard-local recording needs no synchronization;
-  /// the runner merges these in global device order after the run.
+  /// Private registry; the runner merges these in device order after the
+  /// run.
   MetricsRegistry registry;
   Rng churn_rng{0};
 };
@@ -68,24 +67,15 @@ struct Device {
 }  // namespace
 
 struct ExperimentRunner::Impl {
-  /// One independently runnable event world. Sequential mode uses a single
-  /// shard holding every device; parallel mode gives each device its own
-  /// (devices that cannot interact share no mutable state, so the shards
-  /// can execute on any thread in any order with identical results).
-  struct Shard {
-    EventSimulator sim;
-    std::unique_ptr<WirelessMedium> medium;
-    std::unique_ptr<FaultInjector> faults;
-    std::vector<std::size_t> device_indices;
-  };
-
   ScenarioConfig config;
+  /// The one event world every device, peer link and edge feed lives in.
+  EventSimulator sim;
+  std::unique_ptr<WirelessMedium> medium;
+  std::unique_ptr<FaultInjector> faults;
   std::unique_ptr<SceneGenerator> scenes;
   std::unique_ptr<ZipfSampler> popularity;
   std::unique_ptr<FeatureExtractor> extractor;
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::vector<std::unique_ptr<Device>> devices;   // global device order
-  std::vector<Shard*> shard_of;                   // per device
+  std::vector<std::unique_ptr<Device>> devices;
   std::unique_ptr<EdgeCacheService> edge_service;
   /// The edge service's private registry; merged into the pooled registry
   /// after the devices, in run().
@@ -93,16 +83,18 @@ struct ExperimentRunner::Impl {
   std::vector<ExperimentMetrics> device_metrics;
   MetricsRegistry pooled_registry;
   TraceRecorder trace;
-  bool parallel = false;
   bool ran = false;
 
   explicit Impl(const ScenarioConfig& scenario) : config(scenario) {
     if (config.num_devices < 1) {
       throw std::invalid_argument("ScenarioConfig: num_devices < 1");
     }
+    if (config.num_threads != 1) {
+      throw std::invalid_argument("ScenarioConfig: num_threads must be 1");
+    }
     // A declarative ladder spec is authoritative: sync the enable_* flags
-    // to it up front so provisioning (cache, peers, parallel gating) sees
-    // the same composition the pipelines will run.
+    // to it up front so provisioning (cache, peers, edge) sees the same
+    // composition the pipelines will run.
     if (!config.pipeline.ladder.empty()) {
       apply_ladder(config.pipeline, LadderSpec::parse(config.pipeline.ladder));
     }
@@ -111,41 +103,22 @@ struct ExperimentRunner::Impl {
     // apply_ladder already did this for spec-driven configs.
     config.pipeline.cache.alsh.lsh.quantize.enabled =
         config.pipeline.enable_quantized_scan;
-    // Devices may only run concurrently when nothing couples them: no P2P
-    // traffic, no edge tier, and no shared frame trace. Everything else
-    // they touch (scenes, popularity, extractor) is immutable after
-    // construction.
-    parallel = config.num_threads > 1 && config.num_devices > 1 &&
-               !config.pipeline.enable_p2p && !config.pipeline.enable_edge &&
-               !config.record_trace;
 
     Rng master{config.seed};
     scenes = std::make_unique<SceneGenerator>(config.scene);
     popularity = std::make_unique<ZipfSampler>(
         static_cast<std::size_t>(config.scene.num_classes), config.zipf_s);
-    // The medium seed is drawn before any device fork in both modes, so
-    // per-device RNG streams are identical sequential vs parallel.
     const std::uint64_t medium_seed = master.next_u64();
-    const std::size_t shard_count =
-        parallel ? static_cast<std::size_t>(config.num_devices) : 1;
-    shards.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      auto shard = std::make_unique<Shard>();
-      shard->medium = std::make_unique<WirelessMedium>(
-          shard->sim, config.medium, medium_seed);
-      if (config.faults.any()) {
-        // Derived arithmetically from the medium seed (no extra master
-        // draw), so enabling faults never shifts the per-device RNG
-        // streams of the fault-free portion of a run. Shards are seeded
-        // identically — their worlds cannot interact, so identical
-        // injector streams keep sequential and parallel modes matching.
-        shard->faults = std::make_unique<FaultInjector>(
-            config.faults, medium_seed ^ 0xfa017c0de5eedULL);
-        shard->faults->plan_crashes(
-            static_cast<std::size_t>(config.num_devices), config.duration);
-        shard->medium->attach_faults(shard->faults.get());
-      }
-      shards.push_back(std::move(shard));
+    medium = std::make_unique<WirelessMedium>(sim, config.medium, medium_seed);
+    if (config.faults.any()) {
+      // Derived arithmetically from the medium seed (no extra master draw),
+      // so enabling faults never shifts the per-device RNG streams of the
+      // fault-free portion of a run.
+      faults = std::make_unique<FaultInjector>(
+          config.faults, medium_seed ^ 0xfa017c0de5eedULL);
+      faults->plan_crashes(static_cast<std::size_t>(config.num_devices),
+                           config.duration);
+      medium->attach_faults(faults.get());
     }
     extractor = make_extractor(config.extractor);
     if (config.auto_threshold) {
@@ -162,13 +135,11 @@ struct ExperimentRunner::Impl {
       edge_params.cache = config.pipeline.cache;
       edge_service =
           std::make_unique<EdgeCacheService>(extractor->dim(), edge_params);
-      edge_service->attach_network(shards[0]->sim, *shards[0]->medium,
-                                   /*cell=*/0);
+      edge_service->attach_network(sim, *medium, /*cell=*/0);
       edge_service->attach_metrics(edge_registry);
     }
 
     for (int d = 0; d < config.num_devices; ++d) {
-      Shard& shard = *shards[parallel ? static_cast<std::size_t>(d) : 0];
       auto device = std::make_unique<Device>();
       Rng rng = master.fork();
       device->mobility = std::make_unique<MobilityModel>(MobilityModel::random(
@@ -203,16 +174,15 @@ struct ExperimentRunner::Impl {
       const int cell = config.co_located ? 0 : d;
       if (config.pipeline.enable_p2p && device->cache != nullptr) {
         device->peers = std::make_unique<PeerCacheService>(
-            shard.sim, *shard.medium, *device->cache, config.peer, cell);
+            sim, *medium, *device->cache, config.peer, cell);
       }
       if (config.pipeline.enable_edge) {
         device->edge = std::make_unique<EdgeClient>(
-            shard.sim, *shard.medium, edge_service->id(),
-            edge_service->params(), cell);
+            sim, *medium, edge_service->id(), edge_service->params(), cell);
       }
 
       device->pipeline = std::make_unique<ReusePipeline>(
-          shard.sim, config.pipeline, *extractor, *device->model,
+          sim, config.pipeline, *extractor, *device->model,
           device->cache.get(), device->exact_cache.get(), device->peers.get(),
           device->edge.get(), rng.next_u64());
       if (device->cache) device->cache->attach_metrics(device->registry);
@@ -220,8 +190,6 @@ struct ExperimentRunner::Impl {
       if (device->edge) device->edge->attach_metrics(device->registry);
       device->pipeline->attach_metrics(device->registry);
       device->churn_rng = rng.fork();
-      shard.device_indices.push_back(devices.size());
-      shard_of.push_back(&shard);
       devices.push_back(std::move(device));
     }
   }
@@ -231,17 +199,15 @@ struct ExperimentRunner::Impl {
   void schedule_churn(std::size_t index, bool present) {
     Device& device = *devices[index];
     if (!device.peers) return;
-    Shard& shard = *shard_of[index];
     const double f = std::clamp(config.churn_away_fraction, 0.01, 0.99);
     const double mean = static_cast<double>(config.churn_period) *
                         (present ? (1.0 - f) : f);
     const auto stay = static_cast<SimDuration>(
         device.churn_rng.exponential(1.0 / std::max(mean, 1.0)));
-    shard.sim.schedule_after(stay, [this, &shard, index, present] {
+    sim.schedule_after(stay, [this, index, present] {
       Device& d = *devices[index];
       const NodeId node = d.peers->id();
-      shard.medium->set_cell(node,
-                             present ? 1000 + static_cast<int>(index) : 0);
+      medium->set_cell(node, present ? 1000 + static_cast<int>(index) : 0);
       schedule_churn(index, !present);
     });
   }
@@ -252,18 +218,15 @@ struct ExperimentRunner::Impl {
   /// restarts cold, exactly the FoggyCache-style churn regime.
   void crash_device(std::size_t index) {
     Device& device = *devices[index];
-    Shard& shard = *shard_of[index];
-    shard.faults->note_crash();
+    faults->note_crash();
     if (device.cache) device.cache->clear();
     if (device.peers) {
       device.peers->stop();
-      shard.medium->set_cell(device.peers->id(),
-                             2000 + static_cast<int>(index));
+      medium->set_cell(device.peers->id(), 2000 + static_cast<int>(index));
     }
     if (device.edge) {
       device.edge->stop();
-      shard.medium->set_cell(device.edge->id(),
-                             3000 + static_cast<int>(index));
+      medium->set_cell(device.edge->id(), 3000 + static_cast<int>(index));
     }
   }
 
@@ -272,16 +235,14 @@ struct ExperimentRunner::Impl {
   /// neighbours' first-contact hot-set pushes warm the wiped cache.
   void restart_device(std::size_t index) {
     Device& device = *devices[index];
-    Shard& shard = *shard_of[index];
-    shard.faults->note_restart();
+    faults->note_restart();
+    const int cell = config.co_located ? 0 : static_cast<int>(index);
     if (device.peers) {
-      shard.medium->set_cell(device.peers->id(),
-                             config.co_located ? 0 : static_cast<int>(index));
+      medium->set_cell(device.peers->id(), cell);
       device.peers->start();
     }
     if (device.edge) {
-      shard.medium->set_cell(device.edge->id(),
-                             config.co_located ? 0 : static_cast<int>(index));
+      medium->set_cell(device.edge->id(), cell);
       device.edge->start();
     }
   }
@@ -290,15 +251,14 @@ struct ExperimentRunner::Impl {
     Device& device = *devices[index];
     const SimTime frame_time = device.stream->next_frame_time();
     if (frame_time >= config.duration) return;
-    shard_of[index]->sim.schedule_at(frame_time,
-                                     [this, index] { device_tick(index); });
+    sim.schedule_at(frame_time, [this, index] { device_tick(index); });
   }
 
   void device_tick(std::size_t index) {
     Device& device = *devices[index];
     // Sensor hub: feed the motion estimator with all IMU samples since the
     // previous frame, then classify.
-    const SimTime now = shard_of[index]->sim.now();
+    const SimTime now = sim.now();
     device.motion->add_all(device.imu->samples_between(device.last_imu_pull,
                                                        now));
     device.last_imu_pull = now;
@@ -317,10 +277,21 @@ struct ExperimentRunner::Impl {
     schedule_device_frames(index);
   }
 
-  /// Starts and drains one shard's event world. In parallel mode this runs
-  /// on a pool thread and touches only shard-local and device-local state.
-  void run_shard(Shard& shard) {
-    for (const std::size_t d : shard.device_indices) {
+  ExperimentMetrics run() {
+    if (ran) throw std::logic_error("ExperimentRunner::run: already ran");
+    ran = true;
+    if (edge_service) {
+      edge_service->start();
+      // Edge chaos hooks: a crash stops the service and wipes every shard;
+      // a later restart comes back empty.
+      if (config.edge_down_at > 0) {
+        sim.schedule_at(config.edge_down_at, [this] { edge_service->stop(); });
+        if (config.edge_up_at > config.edge_down_at) {
+          sim.schedule_at(config.edge_up_at, [this] { edge_service->start(); });
+        }
+      }
+    }
+    for (std::size_t d = 0; d < devices.size(); ++d) {
       if (devices[d]->peers) devices[d]->peers->start();
       if (devices[d]->edge) devices[d]->edge->start();
       if (config.churn_period > 0 && config.co_located) {
@@ -328,81 +299,40 @@ struct ExperimentRunner::Impl {
       }
       schedule_device_frames(d);
     }
-    if (shard.faults != nullptr) {
+    if (faults != nullptr) {
       // The schedule was precomputed at construction (idempotent call), so
       // the timeline is independent of event execution order.
-      for (const CrashEvent& ev : shard.faults->plan_crashes(
-               static_cast<std::size_t>(config.num_devices),
-               config.duration)) {
-        if (shard_of[ev.device] != &shard) continue;
-        shard.sim.schedule_at(ev.down_at,
-                              [this, d = ev.device] { crash_device(d); });
-        shard.sim.schedule_at(ev.up_at,
-                              [this, d = ev.device] { restart_device(d); });
+      for (const CrashEvent& ev : faults->plan_crashes(
+               static_cast<std::size_t>(config.num_devices), config.duration)) {
+        sim.schedule_at(ev.down_at, [this, d = ev.device] { crash_device(d); });
+        sim.schedule_at(ev.up_at, [this, d = ev.device] { restart_device(d); });
       }
     }
-    shard.sim.run_until(config.duration + 5 * kSecond);  // drain in-flight
-  }
+    sim.run_until(config.duration + 5 * kSecond);  // drain in-flight
 
-  ExperimentMetrics run() {
-    if (ran) throw std::logic_error("ExperimentRunner::run: already ran");
-    ran = true;
-    if (edge_service) {
-      edge_service->start();
-      // Edge chaos hooks: a crash stops the service and wipes every shard;
-      // a later restart comes back empty. The edge tier forces sequential
-      // mode (it couples devices), so shard 0 holds the whole world.
-      if (config.edge_down_at > 0) {
-        shards[0]->sim.schedule_at(config.edge_down_at,
-                                   [this] { edge_service->stop(); });
-        if (config.edge_up_at > config.edge_down_at) {
-          shards[0]->sim.schedule_at(config.edge_up_at,
-                                     [this] { edge_service->start(); });
-        }
-      }
-    }
-    if (parallel && shards.size() > 1) {
-      const std::size_t threads = std::min<std::size_t>(
-          static_cast<std::size_t>(config.num_threads), shards.size());
-      ThreadPool pool(threads - 1);  // the caller participates
-      pool.parallel_for(0, shards.size(), /*grain=*/1,
-                        [this](std::size_t lo, std::size_t hi) {
-                          for (std::size_t s = lo; s < hi; ++s) {
-                            run_shard(*shards[s]);
-                          }
-                        });
-    } else {
-      run_shard(*shards[0]);
-    }
-
-    // Deterministic merge: always in global device order, regardless of
-    // which thread finished which shard first.
+    // Pool in global device order.
     ExperimentMetrics pooled;
     device_metrics.clear();
-    for (std::size_t d = 0; d < devices.size(); ++d) {
-      Device& device = *devices[d];
-      if (device.peers) {
-        device.metrics.add_radio_energy_mj(
-            shard_of[d]->medium->energy_mj(device.peers->id()));
+    for (const auto& device : devices) {
+      if (device->peers) {
+        device->metrics.add_radio_energy_mj(
+            medium->energy_mj(device->peers->id()));
       }
-      if (device.edge) {
-        device.metrics.add_radio_energy_mj(
-            shard_of[d]->medium->energy_mj(device.edge->id()));
+      if (device->edge) {
+        device->metrics.add_radio_energy_mj(
+            medium->energy_mj(device->edge->id()));
       }
-      pooled_registry.merge(device.registry);
-      pooled.merge(device.metrics);
-      device_metrics.push_back(device.metrics);
+      pooled_registry.merge(device->registry);
+      pooled.merge(device->metrics);
+      device_metrics.push_back(device->metrics);
     }
     if (edge_service) pooled_registry.merge(edge_registry);
-    // Fault counters are shard-level, not per-device. Register every key
-    // unconditionally so the export schema is identical for chaos and
-    // fault-free runs (zeros in the latter).
+    // Register every fault key unconditionally so the export schema is
+    // identical for chaos and fault-free runs (zeros in the latter).
     for (const std::string& key : FaultInjector::counter_keys()) {
       const auto id = pooled_registry.counter("faults/" + key);
-      for (const auto& shard : shards) {
-        if (shard->faults != nullptr) {
-          pooled_registry.inc(id, shard->faults->counters().get(key));
-        }
+      if (faults != nullptr) {
+        pooled_registry.inc(id, faults->counters().get(key));
       }
     }
     return pooled;

@@ -14,7 +14,9 @@
 
 namespace apx {
 
-/// Runs one scenario to completion.
+/// Runs one scenario to completion: every device lives in one event
+/// simulation, sharing one wireless medium. Throws std::invalid_argument
+/// on num_devices < 1 or num_threads != 1.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(const ScenarioConfig& config);
@@ -36,8 +38,7 @@ class ExperimentRunner {
   /// Pooled observability registry (per-rung latency histograms, hit/miss
   /// and source counters, cache/ann/p2p instruments), valid after run().
   /// Devices record into private registries during the run; those are
-  /// merged here in global device order, so the export is bit-identical
-  /// for any num_threads.
+  /// merged here in device order.
   const MetricsRegistry& metrics() const noexcept;
 
   /// Recorded per-frame trace (empty unless ScenarioConfig::record_trace).

@@ -27,12 +27,8 @@ struct ScenarioConfig {
   // --- fleet ---
   int num_devices = 1;
   SimDuration duration = 60 * kSecond;
-  /// Worker threads for the simulation runner. When devices cannot interact
-  /// (P2P disabled, no edge tier, no trace recording) each device runs in
-  /// its own event simulation, spread across this many threads; per-device
-  /// RNG streams are forked identically to the sequential path and metrics
-  /// merge in device order, so results are bit-identical to num_threads = 1.
-  /// Scenarios with cross-device interaction fall back to sequential.
+  /// Must be 1; ExperimentRunner rejects any other value. Removed once the
+  /// benchmark stops reading it.
   int num_threads = 1;
   /// All devices share one proximity cell when true (co-located crowd);
   /// otherwise each device sits alone and P2P finds no peers.

@@ -25,8 +25,4 @@ constexpr double to_seconds(SimDuration d) noexcept {
   return static_cast<double>(d) / static_cast<double>(kSecond);
 }
 
-constexpr SimDuration from_ms(double ms) noexcept {
-  return static_cast<SimDuration>(ms * static_cast<double>(kMillisecond));
-}
-
 }  // namespace apx

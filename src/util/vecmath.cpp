@@ -439,14 +439,6 @@ void l2_sq_gather(std::span<const float> q, const float* arena,
   }
 }
 
-float dot_u8(std::span<const float> a, const std::uint8_t* codes) noexcept {
-#if APX_SQ8_X86_DISPATCH
-  static const bool kAvx2 = cpu_has_avx2_fma();
-  if (kAvx2) return dot_u8_avx2(a.data(), codes, a.size());
-#endif
-  return dot_u8_kernel(a.data(), codes, a.size());
-}
-
 void adc_l2_sq_gather(std::span<const float> q, float q_norm_sq, float q_sum,
                       const std::uint8_t* code_arena, const float* offsets,
                       const float* scales, const float* recon_norm_sqs,

@@ -78,9 +78,6 @@ void l2_sq_gather(std::span<const float> q, const float* arena,
 // traffic of the float scan, which is what the scan is bound by at
 // realistic cache sizes.
 
-/// Inner product of a float vector with a uint8 code row of equal length.
-float dot_u8(std::span<const float> a, const std::uint8_t* codes) noexcept;
-
 /// ADC gather: out[i] = squared L2 distance from `q` to the reconstruction
 /// of code row slots[i]. `code_arena` holds slot-major uint8 rows of
 /// q.size() bytes; offsets/scales/recon_norm_sqs are per-slot affine

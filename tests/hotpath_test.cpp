@@ -1,12 +1,9 @@
-// Hot-path overhaul guards (see ISSUE 1 / bench_m2_hotpath):
+// Hot-path guards (see bench/bench_m2_hotpath.cpp):
 //  - unrolled/batched vecmath kernels match the scalar references within
 //    1e-4 across random dims, including non-multiple-of-8 tails;
 //  - steady-state LSH queries via query_into perform zero heap allocations
 //    (verified with a counting global allocator);
-//  - the parallel simulation runner produces metrics bit-identical to the
-//    sequential runner for the same seed;
-//  - ThreadPool/parallel_for cover ranges exactly once, and a pool-backed
-//    MiniCnn::embed_batch matches per-image embeds bit for bit.
+//  - a warmed MiniCnn::embed_into performs zero heap allocations.
 
 #include <gtest/gtest.h>
 
@@ -20,9 +17,7 @@
 #include "src/features/minicnn.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/image/scene.hpp"
-#include "src/sim/runner.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/util/vecmath.hpp"
 
 // ------------------------------------------------- counting allocator
@@ -261,57 +256,7 @@ TEST(LshHotPath, QueryIntoMatchesQuery) {
   }
 }
 
-// ------------------------------------------------------- thread pool
-
-TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool{3};
-  std::vector<int> hits(10'000, 0);
-  pool.parallel_for(0, hits.size(), 64, [&hits](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, InlinePoolRunsSequentially) {
-  ThreadPool pool{0};
-  int calls = 0;
-  pool.submit([&calls] { ++calls; });
-  pool.parallel_for(0, 100, 10, [&calls](std::size_t lo, std::size_t hi) {
-    calls += static_cast<int>(hi - lo);
-  });
-  pool.wait_idle();
-  EXPECT_EQ(calls, 101);
-}
-
-TEST(ThreadPoolTest, SubmitAndWaitIdleDrains) {
-  ThreadPool pool{2};
-  std::atomic<int> done{0};
-  for (int i = 0; i < 50; ++i) pool.submit([&done] { ++done; });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 50);
-}
-
-// -------------------------------------------------- MiniCnn parallelism
-
-TEST(MiniCnnParallel, EmbedBatchMatchesPerImageEmbeds) {
-  SceneGenerator::Config scfg;
-  scfg.num_classes = 6;
-  SceneGenerator scenes{scfg};
-  MiniCnn cnn{32, 9};
-  ThreadPool pool{3};
-  std::vector<Image> imgs;
-  for (int cls = 0; cls < 6; ++cls) imgs.push_back(scenes.render(cls, ViewParams{}));
-  const auto batch = cnn.embed_batch(imgs, &pool);
-  ASSERT_EQ(batch.size(), imgs.size());
-  for (std::size_t i = 0; i < imgs.size(); ++i) {
-    const FeatureVec one = cnn.embed(imgs[i]);
-    for (std::size_t j = 0; j < one.size(); ++j) {
-      EXPECT_EQ(batch[i][j], one[j]);
-    }
-  }
-}
+// ------------------------------------------------------ MiniCnn hot path
 
 TEST(MiniCnnHotPath, WarmEmbedIntoPerformsZeroAllocations) {
   // The staged forward pass reuses the caller's ForwardState; once warmed,
@@ -335,102 +280,6 @@ TEST(MiniCnnHotPath, WarmEmbedIntoPerformsZeroAllocations) {
   for (const Image& img : imgs) cnn.embed_into(img, state, out);
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u);
-}
-
-TEST(MiniCnnHotPath, EmbedBatchAllocatesOnlyResultsPlusConstantScratch) {
-  // The serial batch path shares one ForwardState across the whole batch:
-  // the only per-image allocation left is the returned FeatureVec itself.
-  // (The old path built every intermediate tensor per image.)
-  SceneGenerator::Config scfg;
-  scfg.num_classes = 8;
-  scfg.image_size = MiniCnn::kInputSide;
-  SceneGenerator scenes{scfg};
-  MiniCnn cnn{64, 7};
-  const auto count_allocs = [&](std::size_t n) {
-    std::vector<Image> imgs;
-    for (std::size_t i = 0; i < n; ++i) {
-      imgs.push_back(scenes.render(static_cast<int>(i % 8), ViewParams{}));
-    }
-    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-    const auto batch = cnn.embed_batch(imgs);
-    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-    EXPECT_EQ(batch.size(), n);
-    return after - before;
-  };
-  // Allocations grow by exactly one per extra image (its result vector),
-  // not by the forward pass's tensor count.
-  const std::size_t small = count_allocs(8);
-  const std::size_t large = count_allocs(32);
-  EXPECT_LE(small, 8u + 12u);
-  EXPECT_LE(large, 32u + 12u);
-  EXPECT_EQ(large - small, 24u);
-}
-
-// -------------------------------------- parallel runner determinism
-
-void expect_metrics_identical(const ExperimentMetrics& a,
-                              const ExperimentMetrics& b) {
-  EXPECT_EQ(a.frames(), b.frames());
-  EXPECT_EQ(a.dropped(), b.dropped());
-  EXPECT_DOUBLE_EQ(a.accuracy(), b.accuracy());
-  EXPECT_DOUBLE_EQ(a.mean_latency_ms(), b.mean_latency_ms());
-  EXPECT_DOUBLE_EQ(a.latency_quantile_ms(0.5), b.latency_quantile_ms(0.5));
-  EXPECT_DOUBLE_EQ(a.latency_quantile_ms(0.99), b.latency_quantile_ms(0.99));
-  EXPECT_DOUBLE_EQ(a.mean_total_energy_mj(), b.mean_total_energy_mj());
-  for (const auto& [key, count] : a.sources().items()) {
-    EXPECT_EQ(b.sources().get(key), count) << key;
-  }
-  for (const auto& [key, count] : b.sources().items()) {
-    EXPECT_EQ(a.sources().get(key), count) << key;
-  }
-}
-
-TEST(ParallelRunner, BitIdenticalToSequentialForSameSeed) {
-  ScenarioConfig cfg = default_scenario();
-  cfg.num_devices = 4;
-  cfg.duration = 8 * kSecond;
-  cfg.seed = 1234;
-  cfg.pipeline = make_approx_video_config();  // no P2P: devices independent
-  ASSERT_FALSE(cfg.pipeline.enable_p2p);
-
-  cfg.num_threads = 1;
-  ExperimentRunner sequential{cfg};
-  const ExperimentMetrics seq = sequential.run();
-
-  cfg.num_threads = 4;
-  ExperimentRunner parallel{cfg};
-  const ExperimentMetrics par = parallel.run();
-
-  expect_metrics_identical(seq, par);
-  // Per-device metrics must line up too (same device order).
-  ASSERT_EQ(sequential.device_metrics().size(), parallel.device_metrics().size());
-  for (std::size_t d = 0; d < sequential.device_metrics().size(); ++d) {
-    expect_metrics_identical(sequential.device_metrics()[d],
-                             parallel.device_metrics()[d]);
-  }
-  // And the cache counters (insert/hit/miss/evict/clear) must agree
-  // exactly.
-  for (const char* name : {"cache/hit", "cache/miss", "cache/insert",
-                           "cache/evict", "cache/clear"}) {
-    EXPECT_EQ(parallel.metrics().counter_value(name),
-              sequential.metrics().counter_value(name))
-        << name;
-  }
-}
-
-TEST(ParallelRunner, P2pScenarioFallsBackToSequentialAndStaysDeterministic) {
-  // Cross-device coupling (P2P) cannot shard; num_threads must be a no-op.
-  ScenarioConfig cfg = default_scenario();
-  cfg.num_devices = 3;
-  cfg.duration = 6 * kSecond;
-  cfg.seed = 77;
-  ASSERT_TRUE(cfg.pipeline.enable_p2p);
-
-  cfg.num_threads = 1;
-  const ExperimentMetrics seq = run_scenario(cfg);
-  cfg.num_threads = 4;
-  const ExperimentMetrics par = run_scenario(cfg);
-  expect_metrics_identical(seq, par);
 }
 
 }  // namespace

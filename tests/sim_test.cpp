@@ -121,6 +121,13 @@ TEST(Runner, RejectsBadConfig) {
   EXPECT_THROW(ExperimentRunner{cfg}, std::invalid_argument);
 }
 
+TEST(Runner, RejectsMoreThanOneThread) {
+  // Every device lives in one event world; num_threads must be 1.
+  ScenarioConfig cfg = quick_scenario();
+  cfg.num_threads = 4;
+  EXPECT_THROW(ExperimentRunner{cfg}, std::invalid_argument);
+}
+
 TEST(Runner, RunTwiceThrows) {
   ExperimentRunner runner{quick_scenario()};
   runner.run();

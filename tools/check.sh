@@ -10,10 +10,10 @@
 #   tools/check.sh sanitize   # + asan-ubsan over the whole suite
 #                             # + tsan over the concurrency tests
 #
-# The tsan leg covers the code that can actually race: ThreadPool, the
-# parallel simulation runner, pool-backed MiniCnn batch embedding, and the
-# shared-cache suite (readers vs writer over one locked ApproxCache, exact,
-# p-stable, A-LSH and QALSH backends).
+# The tsan leg covers the code that can actually race: the shared-cache
+# suite (readers vs writer over one locked ApproxCache, exact, p-stable,
+# A-LSH and QALSH backends) and the sharded edge cache service. The
+# simulation runner itself is single-threaded: one event world per run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -204,8 +204,6 @@ if [[ "${1:-}" == "sanitize" ]]; then
 
   cmake --preset tsan
   cmake --build --preset tsan -j
-  ./build-tsan/tests/hotpath_test \
-    --gtest_filter='ThreadPoolTest.*:ParallelRunner.*:MiniCnnParallel.*'
   # The shared-cache concurrency suite: readers (lookup, peek_vote,
   # nearest_distance, find, for_each, ...) vs a writer over one locked
   # ApproxCache for the exact, p-stable, A-LSH and QALSH backends (A-LSH's
